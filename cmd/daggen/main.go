@@ -1,10 +1,12 @@
 // Command daggen generates the synthetic DAG tasks of §5.1 and inspects
 // them: structural summary, Algorithm 1's way allocation and priorities,
-// and optional Graphviz output.
+// and optional Graphviz output. -flight records the task's simulated run
+// on the proposed system (8 cores) for cmd/explain, which renders its
+// per-core timeline, critical path and per-node attribution.
 //
 // Usage:
 //
-//	daggen [-seed S] [-u U] [-p P] [-cpr R] [-dot] [-schedule]
+//	daggen [-seed S] [-u U] [-p P] [-cpr R] [-dot] [-schedule] [-flight out.jsonl]
 package main
 
 import (
@@ -17,10 +19,10 @@ import (
 
 	"l15cache/internal/cli"
 	"l15cache/internal/dag"
+	"l15cache/internal/flight"
 	"l15cache/internal/metrics"
 	"l15cache/internal/sched"
 	"l15cache/internal/schedsim"
-	"l15cache/internal/trace"
 	"l15cache/internal/workload"
 )
 
@@ -34,8 +36,7 @@ func main() {
 	cpr := flag.Float64("cpr", 0.1, "critical path ratio")
 	dot := flag.Bool("dot", false, "emit Graphviz dot instead of the summary")
 	schedule := flag.Bool("schedule", false, "run Alg. 1 and print the configuration")
-	gantt := flag.Bool("gantt", false, "simulate on 8 cores and print the execution timeline")
-	csv := flag.Bool("csv", false, "with -gantt: emit the timeline as CSV instead")
+	flightOut := flag.String("flight", "", "record the proposed system's 8-core run to this flight file (.jsonl or .bin) for cmd/explain")
 	jsonOut := flag.Bool("json", false, "emit the task as JSON instead of the summary")
 	load := flag.String("load", "", "load a task from a JSON file instead of generating one")
 	zeta := flag.Int("zeta", 16, "L1.5 ways ζ for -schedule")
@@ -100,21 +101,19 @@ func main() {
 		task.CriticalPathLength(dag.ZeroCost),
 		task.CriticalPathLength(dag.ZeroCost)/task.Volume())
 
-	if *gantt || *csv {
+	if *flightOut != "" {
 		prop, err := schedsim.NewProposed(task.Clone(), *zeta, 2048)
 		if err != nil {
 			log.Fatal(err)
 		}
-		tl, _, err := trace.Record(prop.Alloc, prop, schedsim.Options{Cores: 8})
-		if err != nil {
+		rec := flight.New()
+		if _, err := schedsim.Run(prop.Alloc, prop, schedsim.Options{Cores: 8, Recorder: rec}); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println()
-		if *csv {
-			fmt.Print(tl.CSV())
-		} else {
-			fmt.Print(tl.Gantt(0, 100))
+		if err := flight.WriteFile(*flightOut, rec.Snapshot()); err != nil {
+			log.Fatal(err)
 		}
+		log.Printf("wrote %s (%d events, %d dropped)", *flightOut, rec.Len(), rec.Dropped())
 	}
 
 	if !*schedule {

@@ -149,12 +149,16 @@ func DecodeJSONL(r io.Reader) (Recording, error) {
 		if !ok {
 			return rec, fmt.Errorf("flight: event %d: unknown kind %q", len(rec.Events), je.K)
 		}
-		rec.Events = append(rec.Events, Event{
+		e := Event{
 			Seq: je.Seq, Kind: kind, Time: je.T,
 			Task: je.Task, Job: je.Job, Node: je.Node,
 			Core: je.Core, Cluster: je.Cl, Wave: je.Wave,
 			A: je.A, B: je.B, C: je.C,
-		})
+		}
+		if err := checkPlacement(len(rec.Events), e); err != nil {
+			return rec, err
+		}
+		rec.Events = append(rec.Events, e)
 	}
 	if err := sc.Err(); err != nil {
 		return rec, fmt.Errorf("flight: %w", err)
@@ -210,7 +214,7 @@ func DecodeBinary(data []byte) (Recording, error) {
 		if int(kind) >= KindCount {
 			return rec, fmt.Errorf("flight: event %d: unknown kind %d", i, kind)
 		}
-		rec.Events = append(rec.Events, Event{
+		e := Event{
 			Seq:     binary.LittleEndian.Uint64(b[0:]),
 			Time:    math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
 			A:       math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
@@ -223,9 +227,24 @@ func DecodeBinary(data []byte) (Recording, error) {
 			Cluster: int32(binary.LittleEndian.Uint32(b[56:])),
 			Wave:    int32(binary.LittleEndian.Uint32(b[60:])),
 			Kind:    kind,
-		})
+		}
+		if err := checkPlacement(int(i), e); err != nil {
+			return rec, err
+		}
+		rec.Events = append(rec.Events, e)
 	}
 	return rec, nil
+}
+
+// checkPlacement rejects a dispatch, edge or finish event of event index i
+// that names no real node or core: every simulator emits those with both
+// set, and a negative one would surface downstream as a bogus timeline row.
+func checkPlacement(i int, e Event) error {
+	placed := e.Kind == KindDispatch || e.Kind == KindEdge || e.Kind == KindFinish
+	if placed && (e.Core < 0 || e.Node < 0) {
+		return fmt.Errorf("flight: event %d: %s with core %d, node %d", i, e.Kind, e.Core, e.Node)
+	}
+	return nil
 }
 
 // WriteFile serialises the recording to path: binary when the path ends

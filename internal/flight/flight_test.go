@@ -174,3 +174,29 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("/metrics (exposition) = %q", got)
 	}
 }
+
+// TestDecodeRejectsNegativePlacement pins the decoders' placement check: a
+// dispatch, edge or finish event with a negative core or node is an error
+// in both formats, while other kinds keep their -1 "n/a" fields.
+func TestDecodeRejectsNegativePlacement(t *testing.T) {
+	for _, kind := range []flight.Kind{flight.KindDispatch, flight.KindEdge, flight.KindFinish} {
+		for _, bad := range []flight.Event{{Core: -7, Node: 2}, {Core: 1, Node: -1}} {
+			bad.Kind, bad.Seq = kind, 1
+			rec := flight.Recording{Events: []flight.Event{{Kind: flight.KindRelease, Core: -1, Node: -1}, bad}}
+			want := "flight: event 1: " + kind.String() + " with core"
+			if _, err := flight.DecodeJSONL(bytes.NewReader(flight.AppendJSONL(nil, rec))); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("JSONL %s core %d node %d: err %v, want %q", kind, bad.Core, bad.Node, err, want)
+			}
+			if _, err := flight.DecodeBinary(flight.AppendBinary(nil, rec)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("binary %s core %d node %d: err %v, want %q", kind, bad.Core, bad.Node, err, want)
+			}
+		}
+	}
+	ok := flight.Recording{Events: []flight.Event{{Kind: flight.KindRelease, Core: -1, Node: -1}}}
+	if _, err := flight.DecodeJSONL(bytes.NewReader(flight.AppendJSONL(nil, ok))); err != nil {
+		t.Errorf("release with core -1: %v", err)
+	}
+	if _, err := flight.DecodeBinary(flight.AppendBinary(nil, ok)); err != nil {
+		t.Errorf("binary release with core -1: %v", err)
+	}
+}

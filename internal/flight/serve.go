@@ -31,8 +31,8 @@ import (
 // archived artifacts keep reading only the deterministic registry. The
 // server reads the wall clock only to pace SSE polling — the flight
 // events it streams stay cycle-stamped, so serving never perturbs a
-// recording (the walltime analyzer's flight carve-out encodes exactly
-// this split).
+// recording (puritycheck's flight carve-out encodes exactly this
+// split).
 type Server struct {
 	// Registry backs the deterministic half of /metrics; nil means
 	// metrics.Default.

@@ -27,14 +27,14 @@ var BitMask = &Analyzer{
 }
 
 // isBitmapType reports whether t is the way-bitmap register type
-// (bitmap.Bitmap, matched structurally so testdata can exercise the rule).
+// (bitmap.Bitmap, declared by the policy table's BitmapOwner package).
 func isBitmapType(t types.Type) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == "Bitmap" && obj.Pkg() != nil && obj.Pkg().Name() == "bitmap"
+	return obj.Name() == "Bitmap" && obj.Pkg() != nil && policyOf(obj.Pkg().Path()).BitmapOwner
 }
 
 // elemBitmapType reports whether t is a slice/array/map whose element is
@@ -52,7 +52,7 @@ func elemBitmapType(t types.Type) bool {
 }
 
 func runBitMask(pass *Pass) error {
-	if pass.Pkg.Name() == "bitmap" {
+	if policyOf(pass.Pkg.Path()).BitmapOwner {
 		return nil // the owning package implements the API itself
 	}
 	for _, file := range pass.Files {
@@ -117,7 +117,7 @@ func boundedExpr(pass *Pass, e ast.Expr) bool {
 	case *ast.BinaryExpr:
 		return x.Op == token.AND || x.Op == token.AND_NOT
 	case *ast.CallExpr:
-		if fn := calleeFunc(pass, x); fn != nil && fn.Pkg() != nil && fn.Pkg().Name() == "bitmap" {
+		if fn := calleeFunc(pass, x); fn != nil && fn.Pkg() != nil && policyOf(fn.Pkg().Path()).BitmapOwner {
 			return true
 		}
 	}

@@ -6,27 +6,13 @@ import (
 	"go/types"
 )
 
-// simPackages are the package names whose behaviour must be bit-identical
-// across runs: anything feeding the cycle-accurate simulation or the
-// experiment harnesses. Go randomizes map iteration order per run, so a
-// `range` over a map in these packages must not have order-dependent
-// effects unless the result is sorted afterwards.
-var simPackages = map[string]bool{
-	"sched":       true,
-	"schedsim":    true,
-	"rtsim":       true,
-	"soc":         true,
-	"l15":         true,
-	"experiments": true,
-	"runner":      true, // the parallel harness must reduce in index order
-}
-
 // DetMap flags map iteration with order-dependent effects in the simulator
 // packages: appending to a slice declared outside the loop, or writing
 // output (fmt printing, io writes), without a deterministic sort later in
 // the same function. This is the classic source of run-to-run
 // nondeterminism in a cycle-accurate reproduction — scheduling decisions or
-// CSV rows silently reordering between runs.
+// CSV rows silently reordering between runs. Its scope is the policy
+// table's DetMap rows: the simulator and experiment-harness packages.
 var DetMap = &Analyzer{
 	Name: "detmap",
 	Doc:  "flags order-dependent map iteration in simulator packages (range over a map that appends or writes output with no subsequent sort)",
@@ -34,7 +20,7 @@ var DetMap = &Analyzer{
 }
 
 func runDetMap(pass *Pass) error {
-	if !simPackages[pass.Pkg.Name()] {
+	if !policyOf(pass.Pkg.Path()).DetMap {
 		return nil
 	}
 	for _, file := range pass.Files {

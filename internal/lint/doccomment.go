@@ -34,7 +34,7 @@ func runDocComment(pass *Pass) error {
 	var first *ast.File
 	hasPkgDoc := false
 	for _, f := range pass.Files {
-		if isTestFile(pass, f) {
+		if isTestFile(pass.Fset, f) {
 			continue
 		}
 		if first == nil {
@@ -53,7 +53,7 @@ func runDocComment(pass *Pass) error {
 			"package %s has no doc comment; add a 'Package %s ...' comment above one package clause", name, name)
 	}
 	for _, f := range pass.Files {
-		if isTestFile(pass, f) {
+		if isTestFile(pass.Fset, f) {
 			continue
 		}
 		for _, decl := range f.Decls {

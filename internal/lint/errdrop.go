@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // ErrDrop flags silently discarded error returns where they bite this
@@ -45,10 +44,8 @@ var neverFailsRecv = map[string]bool{
 }
 
 func runErrDrop(pass *Pass) error {
-	strict := pass.Pkg.Name() == "main" &&
-		(pass.Path == "" || strings.Contains(pass.Path, "/cmd/"))
-	exportStrict := pass.Pkg.Name() == "flight" ||
-		strings.HasSuffix(pass.Path, "internal/flight")
+	strict := isCommand(pass.Pkg.Path())
+	exportStrict := policyOf(pass.Pkg.Path()).ExportStrict
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			stmt, ok := n.(*ast.ExprStmt)

@@ -31,7 +31,7 @@ var Exhaustive = &Analyzer{
 
 func runExhaustive(pass *Pass) error {
 	for _, file := range pass.Files {
-		if isTestFile(pass, file) {
+		if isTestFile(pass.Fset, file) {
 			continue
 		}
 		ast.Inspect(file, func(n ast.Node) bool {

@@ -493,7 +493,7 @@ func findMapSites(pkg *Package) []mapSite {
 				case *ast.SelectorExpr:
 					fn, _ = pkg.Info.Uses[fun.Sel].(*types.Func)
 				}
-				if fn == nil || fn.Name() != "Map" || fn.Pkg() == nil || fn.Pkg().Name() != "runner" {
+				if fn == nil || fn.Name() != "Map" || fn.Pkg() == nil || !policyOf(fn.Pkg().Path()).ShardMap {
 					return true
 				}
 				if len(call.Args) < 2 {

@@ -3,9 +3,10 @@ package lint
 // HotAlloc turns the ROADMAP's "zero allocations in the tick path"
 // discipline from a bench-observed property (the flaky-prone allocs/op
 // gate) into a compiler-checked fact: it computes the transitive closure
-// of functions reachable from the hot-path roots — the kernel's
-// Tick/Step/AdvanceTo/NextWakeup/sduIdle family, flight.Recorder.Emit,
-// and the schedsim/rtsim event dispatchers — and reports every heap
+// of functions reachable from the hot-path roots — the policy table's
+// HotRoots: the kernel's Tick/Step/AdvanceTo/NextWakeup/sduIdle family,
+// flight.Recorder.Emit, and the schedsim/rtsim event dispatchers — and
+// reports every heap
 // allocation on those paths with the full root-to-site call chain as
 // evidence, exactly like puritycheck reports determinism hazards.
 //
@@ -50,39 +51,12 @@ var HotAlloc = &Analyzer{
 	RunModule: runHotAlloc,
 }
 
-// hotRootPkgs are the packages whose hot-family functions are roots.
-var hotRootPkgs = map[string]bool{
-	"l15": true, "soc": true, "cpu": true,
-	"schedsim": true, "rtsim": true, "flight": true,
-}
-
-// hotRootNames are the root function names common to every hot package:
-// the kernel tick/step family and the wakeup protocol.
-var hotRootNames = map[string]bool{
-	"Tick": true, "Step": true, "StepIssue": true, "StepDual": true,
-	"AdvanceTo": true, "NextWakeup": true, "sduIdle": true,
-}
-
-// hotRootExtra adds the per-package roots: the flight recorder's
-// zero-alloc Emit and the event dispatchers of the two DES simulators.
-var hotRootExtra = map[string]map[string]bool{
-	"flight":   {"Emit": true},
-	"soc":      {"tickSDUs": true},
-	"schedsim": {"runInstance": true, "runInstanceEvents": true},
-	"rtsim":    {"dispatch": true, "dispatchTicked": true},
-}
-
 // isHotRoot reports whether node is a hot-path root.
 func isHotRoot(node *CallNode) bool {
 	if node.Decl == nil || node.Pkg == nil {
 		return false
 	}
-	pkg := node.Pkg.Types.Name()
-	if !hotRootPkgs[pkg] {
-		return false
-	}
-	name := node.Decl.Name.Name
-	return hotRootNames[name] || hotRootExtra[pkg][name]
+	return isRoot(policyOf(node.Pkg.Types.Path()).HotRoots, node.Decl)
 }
 
 func runHotAlloc(mp *ModulePass) error {

@@ -22,7 +22,7 @@ func TestToJSON(t *testing.T) {
 		},
 		{
 			Pos:           token.Position{Filename: "/elsewhere/x.go", Line: 3, Column: 1},
-			Analyzer:      "walltime",
+			Analyzer:      "puritycheck",
 			Message:       "rand.Intn uses the global generator",
 			Suppressed:    true,
 			Justification: "demo shim, not simulation state",

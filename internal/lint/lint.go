@@ -124,7 +124,7 @@ func (mp *ModulePass) WarnAt(pos token.Position, chain []ChainEntry, format stri
 // this list.
 func All() []*Analyzer {
 	return []*Analyzer{
-		DetMap, WallTime, BitMask, AtomicHandle, ErrDrop, DocComment,
+		DetMap, BitMask, AtomicHandle, ErrDrop, DocComment,
 		Exhaustive, PurityCheck, LockGuard, HotAlloc, WakeupSafe,
 		FingerprintComplete, SharedCapture,
 	}

@@ -12,23 +12,30 @@ func TestDetMapFlagged(t *testing.T)    { runAnalyzerTest(t, DetMap, "detmap/fla
 func TestDetMapClean(t *testing.T)      { runAnalyzerTest(t, DetMap, "detmap/clean") }
 func TestDetMapOutOfScope(t *testing.T) { runAnalyzerTest(t, DetMap, "detmap/outofscope") }
 
-func TestWallTimeFlagged(t *testing.T) { runAnalyzerTest(t, WallTime, "walltime/flagged") }
-func TestWallTimeClean(t *testing.T)   { runAnalyzerTest(t, WallTime, "walltime/clean") }
+// The wall-time rule: puritycheck flags direct wall-clock reads and global
+// math/rand use in any non-test package, whether or not an entry point
+// reaches them.
+func TestWallTimeFlagged(t *testing.T) { runAnalyzerTest(t, PurityCheck, "puritycheck/direct") }
+func TestWallTimeClean(t *testing.T)   { runAnalyzerTest(t, PurityCheck, "puritycheck/directclean") }
 
-// TestWallTimeHarness pins the runner exemption: a package named runner may
-// read the wall clock (progress/ETA gauges) but still may not touch the
-// global math/rand generator.
-func TestWallTimeHarness(t *testing.T) { runAnalyzerTest(t, WallTime, "walltime/harness") }
+// TestWallTimeHarness pins the runner exemption: internal/runner may read
+// the wall clock (progress/ETA gauges) but still may not touch the global
+// math/rand generator.
+func TestWallTimeHarness(t *testing.T) { runAnalyzerTest(t, PurityCheck, "puritycheck/runner") }
 
-// TestWallTimeFlightRecorder pins the flight-recorder exemption: recorded
-// events are cycle-stamped sim-time, so package flight may read the wall
-// clock to pace its live /events stream, while the global-rand ban holds.
-func TestWallTimeFlightRecorder(t *testing.T) { runAnalyzerTest(t, WallTime, "walltime/flightrec") }
+// TestWallTimeFlightRecorder pins the flight-recorder exemption for direct
+// uses: recorded events are cycle-stamped sim-time, so internal/flight may
+// read the wall clock to pace its live /events stream, while the
+// global-rand ban holds. The testdata is shared with
+// TestPurityCheckFlightRecorder, which pins the reachable half.
+func TestWallTimeFlightRecorder(t *testing.T) {
+	runAnalyzerTest(t, PurityCheck, "puritycheck/flightrec")
+}
 
 // TestWallTimeTelemetry pins the telemetry exemption: the sampler layer
 // may read the wall clock to timestamp operator-facing observations, while
 // the global-rand ban holds.
-func TestWallTimeTelemetry(t *testing.T) { runAnalyzerTest(t, WallTime, "walltime/telemetry") }
+func TestWallTimeTelemetry(t *testing.T) { runAnalyzerTest(t, PurityCheck, "puritycheck/telemetry") }
 
 func TestBitMaskFlagged(t *testing.T) { runAnalyzerTest(t, BitMask, "bitmask/flagged") }
 func TestBitMaskClean(t *testing.T)   { runAnalyzerTest(t, BitMask, "bitmask/clean") }
@@ -67,7 +74,7 @@ func TestPurityCheckFlagged(t *testing.T) { runAnalyzerTest(t, PurityCheck, "pur
 func TestPurityCheckClean(t *testing.T)   { runAnalyzerTest(t, PurityCheck, "puritycheck/clean") }
 
 // TestPurityCheckFlightRecorder pins the interprocedural half of the
-// flight carve-out: wall-clock facts are not seeded in package flight, but
+// flight carve-out: wall-clock facts are not seeded in internal/flight, but
 // global-rand and fs-read hazards on the same paths still report.
 func TestPurityCheckFlightRecorder(t *testing.T) {
 	runAnalyzerTest(t, PurityCheck, "puritycheck/flightrec")
@@ -98,7 +105,7 @@ func TestSharedCaptureClean(t *testing.T) {
 
 // TestIgnoreDirectives exercises suppression end to end: justified ignores
 // silence findings, malformed ones are themselves reported.
-func TestIgnoreDirectives(t *testing.T) { runAnalyzerTest(t, WallTime, "ignore") }
+func TestIgnoreDirectives(t *testing.T) { runAnalyzerTest(t, PurityCheck, "ignore") }
 
 // TestRunModuleKeepsSuppressed pins the -json contract: RunModule marks
 // suppressed findings instead of dropping them, carrying the directive's
@@ -108,7 +115,7 @@ func TestRunModuleKeepsSuppressed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadDir: %v", err)
 	}
-	all, err := RunModule([]*Package{pkg}, []*Analyzer{WallTime})
+	all, err := RunModule([]*Package{pkg}, []*Analyzer{PurityCheck})
 	if err != nil {
 		t.Fatalf("RunModule: %v", err)
 	}
@@ -126,7 +133,7 @@ func TestRunModuleKeepsSuppressed(t *testing.T) {
 			t.Errorf("suppressed finding %s carries no justification", d)
 		}
 	}
-	kept, err := Run(pkg, []*Analyzer{WallTime})
+	kept, err := Run(pkg, []*Analyzer{PurityCheck})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -15,6 +15,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -178,6 +179,16 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 // module's package graph — the analysistest path for testdata packages.
 // Imports (standard library or module-internal) are resolved the same way
 // Load resolves them, by asking the go command for export data.
+//
+// The package's import path, which the policy table keys on, is the one
+// its package clause declares in an import comment:
+//
+//	package runner // import "l15cache/internal/runner"
+//
+// and the bare package name otherwise. Several testdata packages can so
+// stand in for one real package (three analyzers need a stand-in for
+// internal/flight), and a package merely *named* runner is not the
+// runner.
 func LoadDir(dir string) (*Package, error) {
 	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
@@ -223,9 +234,30 @@ func LoadDir(dir string) (*Package, error) {
 		Importer: importer.ForCompiler(fset, "gc", exportLookup(exports)),
 		Sizes:    types.SizesFor("gc", "amd64"),
 	}
-	tpkg, err := conf.Check(files[0].Name.Name, fset, files, info)
+	tpkg, err := conf.Check(declaredPath(fset, files), fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", dir, err)
 	}
 	return &Package{Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+}
+
+// declaredPath returns the import path in the first `package p // import
+// "path"` clause comment among files, or the package name when none
+// declares one.
+func declaredPath(fset *token.FileSet, files []*ast.File) string {
+	for _, f := range files {
+		line := fset.Position(f.Name.Pos()).Line
+		for _, cg := range f.Comments {
+			c := cg.List[0]
+			if fset.Position(c.Pos()).Line != line {
+				continue
+			}
+			if q, ok := strings.CutPrefix(c.Text, "// import "); ok {
+				if path, err := strconv.Unquote(q); err == nil {
+					return path
+				}
+			}
+		}
+	}
+	return files[0].Name.Name
 }

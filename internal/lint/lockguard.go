@@ -63,7 +63,7 @@ func runLockGuard(pass *Pass) error {
 
 	accesses := map[*types.Named][]lockFieldAccess{}
 	for _, file := range pass.Files {
-		if isTestFile(pass, file) {
+		if isTestFile(pass.Fset, file) {
 			continue
 		}
 		for _, decl := range file.Decls {

@@ -11,7 +11,7 @@ package lint
 //
 // The same entry point measures per-analyzer wall time for the codecheck
 // -timing summary. Reading the wall clock is banned in simulator packages
-// (the walltime analyzer) because simulated results must not depend on
+// (puritycheck) because simulated results must not depend on
 // it; here it feeds an operator-facing diagnostic only, the same
 // exemption the runner's ETA gauges enjoy — hence the explicit ignores.
 
@@ -58,10 +58,10 @@ func RunModuleParallel(ctx context.Context, pkgs []*Package, analyzers []*Analyz
 				if a.Run == nil {
 					continue
 				}
-				//lint:ignore walltime analyzer wall time is operator diagnostics (-timing), never a simulated result
+				//lint:ignore puritycheck analyzer wall time is operator diagnostics (-timing), never a simulated result
 				start := time.Now()
 				pkgDiags, err := runPackagePass(pkgs[s.Index], a)
-				//lint:ignore walltime analyzer wall time is operator diagnostics (-timing), never a simulated result
+				//lint:ignore puritycheck analyzer wall time is operator diagnostics (-timing), never a simulated result
 				u.Elapsed[i] = time.Since(start)
 				if err != nil {
 					return u, err
@@ -86,10 +86,10 @@ func RunModuleParallel(ctx context.Context, pkgs []*Package, analyzers []*Analyz
 		nameIndex[a.Name] = i
 	}
 	timeOne := func(name string, run func() error) error {
-		//lint:ignore walltime analyzer wall time is operator diagnostics (-timing), never a simulated result
+		//lint:ignore puritycheck analyzer wall time is operator diagnostics (-timing), never a simulated result
 		start := time.Now()
 		err := run()
-		//lint:ignore walltime analyzer wall time is operator diagnostics (-timing), never a simulated result
+		//lint:ignore puritycheck analyzer wall time is operator diagnostics (-timing), never a simulated result
 		elapsed := time.Since(start)
 		if i, ok := nameIndex[name]; ok {
 			totals[i] += elapsed

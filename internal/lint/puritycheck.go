@@ -2,72 +2,61 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"strings"
 )
 
-// PurityCheck is the interprocedural upgrade of walltime: it computes the
-// transitive closure of functions reachable from the simulator entry points
-// (the Tick/Step/Run family in the simulation packages, plus every exported
-// function of internal/experiments) and reports any path from an entry
-// point to a determinism hazard — a wall-clock read, a global math/rand
-// draw, an env/filesystem read, or an order-dependent map iteration — with
-// the full call chain as evidence. The syntactic walltime check catches a
-// time.Now written directly into a simulator package; this one catches the
-// time.Now hidden two helper calls deep in a package walltime never looks
-// at.
+// PurityCheck enforces the simulator's determinism discipline: simulated
+// time is a cycle counter and randomness is an injected seed, so results
+// must not depend on host state. It reports two things, each sink position
+// once:
+//
+//   - any path from a simulator entry point (the policy table's
+//     PurityRoots: the Tick/Step/Run family of the simulation packages,
+//     every exported function of internal/experiments) to a determinism
+//     hazard — a wall-clock read, a global math/rand draw, an env/filesystem
+//     read, or an order-dependent map iteration — with the full call chain
+//     as evidence, so the time.Now hidden two helper calls deep in a
+//     package nobody audits surfaces on the entry point that reaches it;
+//   - any direct wall-clock read or global math/rand use anywhere in
+//     non-test code, reached or not. A wall-clock read smuggles host timing
+//     into results; the global generator's state is shared and unseeded,
+//     so two runs (or two goroutines) diverge.
+//
+// The carve-outs are the policy table's Allow lists (policy.go).
 //
 // Deliberate limits, so real findings are not drowned:
 //
 //   - calls through function values (trap handlers, observers, runner
 //     closures received as parameters) are recorded as unknown by the call
 //     graph and not treated as impure;
-//   - package runner keeps its sanctioned carve-outs: wall-clock reads
-//     (operator-facing progress/ETA gauges only) and filesystem reads (the
-//     -checkpoint resume path) are not seeded there, while the global-rand
-//     and map-order rules still apply;
-//   - package flight keeps the matching wall-clock carve-out only: its
-//     recorded events are cycle-stamped sim-time, and the clock merely
-//     paces the live /events SSE polling loop;
-//   - package telemetry keeps the same wall-clock-only carve-out: its
-//     sampler and runtime collector timestamp operator-facing observations
-//     of the simulation, and nothing in the deterministic artifact path
-//     ever reads a telemetry value back;
-//   - package memo keeps a filesystem-read carve-out: the content-addressed
-//     trial cache (DESIGN.md §12) keys disk entries by a hash of the full
-//     trial input, so a verified read only ever replaces a computation with
-//     that computation's own bytes — it can change how a result is obtained,
-//     never which result. Wall-clock, global-rand and map-order rules still
-//     apply there;
 //   - only filesystem/env *reads* are sinks. Writes (reports, CSVs,
-//     checkpoints) do not feed results back into the simulation.
+//     checkpoints) do not feed results back into the simulation;
+//   - env/filesystem reads and map order are checked on reachable paths
+//     only: outside the simulation they are ordinary host I/O.
 var PurityCheck = &Analyzer{
 	Name:      "puritycheck",
-	Doc:       "reports call paths from simulator entry points (Tick/Step/Run, experiment sweeps) to wall-clock reads, global rand, env/FS reads or order-dependent map iteration, with the full call chain",
+	Doc:       "forbids wall-clock reads and global math/rand in non-test code, and reports call paths from simulator entry points (Tick/Step/Run, experiment sweeps) to those, env/FS reads or order-dependent map iteration, with the full call chain; carve-outs come from the import-path policy table",
 	RunModule: runPurityCheck,
 }
 
-// purityRootPkgs are the package names whose Tick/Step/Run-family methods
-// and functions are treated as simulation entry points.
-var purityRootPkgs = map[string]bool{
-	"cpu":      true,
-	"soc":      true,
-	"l15":      true,
-	"rtsim":    true,
-	"rtos":     true,
-	"sched":    true,
-	"schedsim": true,
-	"etm":      true,
-	"monitor":  true,
-	// flight is observability, not simulation, but its Emit path runs
-	// inside the simulator loops, so its Run-family roots are checked too
-	// (with the wall-clock carve-out below).
-	"flight": true,
+// wallClockFuncs are the time functions that read or depend on the host
+// clock. Pure constructors/converters (time.Duration arithmetic,
+// time.Unix, parsing) stay legal.
+var wallClockFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true,
+	"Sleep": true, "After": true, "AfterFunc": true,
+	"Tick": true, "NewTicker": true, "NewTimer": true,
 }
 
-// purityRootNames are the entry-point function names within purityRootPkgs.
-var purityRootNames = map[string]bool{
-	"Tick": true, "Step": true, "StepIssue": true, "StepDual": true,
-	"Run": true, "Simulate": true,
+// seededRandFuncs are the math/rand package-level functions that construct
+// explicit generators — the approved path. Everything else at package level
+// drives the shared global source.
+var seededRandFuncs = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true,
+	// math/rand/v2 constructors
+	"NewPCG": true, "NewChaCha8": true,
 }
 
 // fsReadFuncs are the os package-level functions that read the environment
@@ -78,18 +67,6 @@ var fsReadFuncs = map[string]bool{
 	"Stat": true, "Lstat": true, "Getwd": true, "Hostname": true,
 	"UserHomeDir": true, "UserConfigDir": true, "UserCacheDir": true,
 	"Executable": true,
-}
-
-// isPurityRoot reports whether node is a simulation entry point.
-func isPurityRoot(node *CallNode) bool {
-	if node.Decl == nil || node.Pkg == nil {
-		return false
-	}
-	name := node.Pkg.Types.Name()
-	if name == "experiments" {
-		return node.Decl.Name.IsExported()
-	}
-	return purityRootPkgs[name] && purityRootNames[node.Decl.Name.Name]
 }
 
 // classifySink classifies a called function as a determinism hazard,
@@ -105,51 +82,35 @@ func classifySink(fn *types.Func) string {
 	switch fn.Pkg().Path() {
 	case "time":
 		if wallClockFuncs[fn.Name()] {
-			return "wall-clock"
+			return wallClock
 		}
 	case "math/rand", "math/rand/v2":
 		if !seededRandFuncs[fn.Name()] {
-			return "global-rand"
+			return globalRand
 		}
 	case "os":
 		if fsReadFuncs[fn.Name()] {
-			return "fs-read"
+			return fsRead
 		}
 	}
 	return ""
 }
 
-func runPurityCheck(mp *ModulePass) error {
-	g := mp.Graph
+// purityFacts seeds every hazard the policy table does not allow on the
+// function whose body exhibits it, and propagates the facts caller-ward.
+func purityFacts(g *CallGraph) *FactSet {
 	fs := NewFactSet(g)
-
-	// Seed intrinsic facts on every module function body.
 	for _, id := range g.SortedIDs() {
 		node := g.Nodes[id]
 		if node.Decl == nil {
 			continue
 		}
-		runnerExempt := node.Pkg.Types.Name() == "runner"
-		flightExempt := node.Pkg.Types.Name() == "flight"
-		memoExempt := node.Pkg.Types.Name() == "memo"
-		telemetryExempt := node.Pkg.Types.Name() == "telemetry"
+		pol := policyOf(node.Pkg.Types.Path())
 		for _, edge := range node.Calls {
 			callee := g.Nodes[edge.Callee]
 			kind := classifySink(callee.Fn)
-			if kind == "" {
+			if kind == "" || pol.allows(kind) {
 				continue
-			}
-			if runnerExempt && (kind == "wall-clock" || kind == "fs-read") {
-				continue // progress gauges and checkpoint resume (see doc)
-			}
-			if flightExempt && kind == "wall-clock" {
-				continue // SSE poll pacing; events are cycle-stamped (see doc)
-			}
-			if telemetryExempt && kind == "wall-clock" {
-				continue // sampler timestamps observations only (see doc)
-			}
-			if memoExempt && kind == "fs-read" {
-				continue // content-addressed cache: a hit replays the trial's own bytes (see doc)
 			}
 			fs.Seed(id, Fact{
 				Kind:   kind,
@@ -159,26 +120,71 @@ func runPurityCheck(mp *ModulePass) error {
 		}
 		seedMapOrderFacts(fs, node)
 	}
-
 	fs.Propagate()
+	return fs
+}
+
+// directMessages are the hazard kinds reported wherever they appear, reached
+// or not, with their diagnostic formats.
+var directMessages = map[string]string{
+	wallClock:  "time.%s reads the wall clock; simulator time must come from the cycle counter (inject a tick source if timing is needed)",
+	globalRand: "rand.%s uses the global generator; inject a seeded *rand.Rand so runs are reproducible",
+}
+
+func runPurityCheck(mp *ModulePass) error {
+	g := mp.Graph
+	fs := purityFacts(g)
 
 	// Report each hazard once, from the first (sorted) entry point that
 	// reaches it, at the sink position so the fix lands where the hazard is.
-	reported := map[Fact]bool{}
+	reported := map[token.Position]bool{}
 	for _, id := range g.SortedIDs() {
 		node := g.Nodes[id]
-		if !isPurityRoot(node) {
+		if node.Decl == nil || !isRoot(policyOf(node.Pkg.Types.Path()).PurityRoots, node.Decl) {
 			continue
 		}
 		for _, f := range fs.FactsOf(id) {
-			if reported[f] {
+			if reported[f.Origin] {
 				continue
 			}
-			reported[f] = true
+			reported[f.Origin] = true
 			chain := fs.Chain(id, f)
 			mp.ReportAt(f.Origin, chain,
 				"impure path to %s (%s) from entry point %s: %s; simulator results must not depend on host state — inject the dependency or sort",
 				f.Sink, f.Kind, DisplayName(node.Fn), ChainString(chain)+" -> "+f.Sink)
+		}
+	}
+
+	// Direct uses no entry point reaches: wall clock and global rand in any
+	// non-test file, function values included.
+	for _, pkg := range mp.Pkgs {
+		pol := policyOf(pkg.Types.Path())
+		for _, file := range pkg.Files {
+			if isTestFile(pkg.Fset, file) {
+				continue
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				fn, ok := pkg.Info.Uses[id].(*types.Func)
+				if !ok {
+					return true
+				}
+				kind := classifySink(fn)
+				msg, direct := directMessages[kind]
+				if !direct || pol.allows(kind) {
+					return true
+				}
+				pos := pkg.Fset.Position(id.Pos())
+				if reported[pos] {
+					return true
+				}
+				reported[pos] = true
+				mp.ReportAt(pos, nil, msg, fn.Name())
+				return true
+			})
 		}
 	}
 	return nil
@@ -207,10 +213,15 @@ func seedMapOrderFacts(fs *FactSet, node *CallNode) {
 			return true
 		}
 		fs.Seed(node.ID, Fact{
-			Kind:   "map-order",
+			Kind:   mapOrder,
 			Sink:   "map iteration that " + effect,
 			Origin: node.Pkg.Fset.Position(rng.For),
 		})
 		return true
 	})
+}
+
+// isTestFile reports whether the file is a _test.go file.
+func isTestFile(fset *token.FileSet, f *ast.File) bool {
+	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
 }

@@ -1,6 +1,6 @@
 // Package sched (testdata): map iterations that are order-neutral or
 // restored to determinism by a sort — nothing here may be flagged.
-package sched
+package sched // import "l15cache/internal/sched"
 
 import (
 	"fmt"

@@ -1,6 +1,6 @@
 // Package sched (testdata): map iterations with order-dependent effects
 // and no restoring sort — every case here must be flagged.
-package sched
+package sched // import "l15cache/internal/sched"
 
 import "fmt"
 

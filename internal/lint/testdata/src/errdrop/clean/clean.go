@@ -1,7 +1,7 @@
 // Package main (testdata): the sanctioned error-handling patterns —
 // checked returns, explicit _ = discards, deferred read-path Close,
 // never-fails builders. Nothing here may be flagged.
-package main
+package main // import "l15cache/cmd/errdrop"
 
 import (
 	"bufio"

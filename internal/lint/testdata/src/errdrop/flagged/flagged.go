@@ -1,6 +1,6 @@
 // Package main (testdata): a cmd-style tool discarding errors on its
 // output paths — every case must be flagged.
-package main
+package main // import "l15cache/cmd/errdrop"
 
 import (
 	"bufio"

@@ -2,7 +2,7 @@
 // strict errdrop treatment — a dropped Write or io.Copy error means a
 // truncated artifact that still reports success. `_ =` stays the visible
 // opt-out, and read-side defers stay legal.
-package flight
+package flight // import "l15cache/internal/flight"
 
 import (
 	"io"

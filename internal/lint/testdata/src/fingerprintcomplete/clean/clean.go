@@ -2,7 +2,7 @@
 // diagnostics: every Map site either covers the compute path's reads
 // completely (by encoding, by guard reads, by whole-struct encoding or
 // through a builder helper method) or has memoization deliberately off.
-package runner
+package runner // import "l15cache/internal/runner"
 
 // Shard mirrors runner.Shard.
 type Shard struct{ Index int }

@@ -1,11 +1,11 @@
-// Package runner is fingerprintcomplete testdata. The package is named
-// runner so the local Map mirror resolves exactly like the real
-// internal/runner entry point, and the local Encoder mirrors the
-// internal/memo field methods — the analyzer matches both by name, by
-// design, so testdata stays self-contained. Every Map site here passes a
+// Package runner is fingerprintcomplete testdata. It declares the real
+// internal/runner import path so the local Map mirror resolves exactly
+// like the real entry point, and the local Encoder mirrors the
+// internal/memo field methods (matched by type name), so testdata stays
+// self-contained. Every Map site here passes a
 // fingerprint builder that misses at least one field the shard function
 // reads, or encodes one it never reads.
-package runner
+package runner // import "l15cache/internal/runner"
 
 // Shard mirrors runner.Shard.
 type Shard struct{ Index int }

@@ -1,9 +1,9 @@
 // Package flight is hotalloc testdata for the sanctioned idioms: the
-// package name makes Emit a root, and every pattern here is one the
+// import path makes Emit a root, and every pattern here is one the
 // analyzer must accept — reused scratch buffers, caller-owned self
 // append, value composite literals passed by value, capture-free
 // closures, and pointer locals that never escape.
-package flight
+package flight // import "l15cache/internal/flight"
 
 // Event is a value payload: its literal lives on the stack.
 type Event struct {

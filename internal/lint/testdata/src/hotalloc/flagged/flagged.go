@@ -1,8 +1,8 @@
-// Package l15 is hotalloc testdata: the package name puts the hot-family
+// Package l15 is hotalloc testdata: the import path puts the hot-family
 // roots in scope, and every allocation hides at least one helper call
 // below a root so the chain evidence matters. The deliberate allocation
 // in sduIdle's path is the acceptance case from ISSUE 7.
-package l15
+package l15 // import "l15cache/internal/l15"
 
 import "fmt"
 

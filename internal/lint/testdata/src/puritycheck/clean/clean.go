@@ -1,12 +1,11 @@
 // Package soc is puritycheck testdata for the approved patterns: injected
 // generators, function-value callbacks (unknown callees are not impure),
-// filesystem writes, and impure helpers no entry point can reach.
-package soc
+// filesystem writes, and an env read no entry point can reach.
+package soc // import "l15cache/internal/soc"
 
 import (
 	"math/rand"
 	"os"
-	"time"
 )
 
 // SoC is the fake simulator root.
@@ -32,8 +31,8 @@ func reduce(m map[string]int) int {
 	return total
 }
 
-// debugStamp is impure but unreachable from any entry point, so the
-// interprocedural check stays quiet (walltime would flag it per-package).
-func debugStamp() int64 {
-	return time.Now().UnixNano()
+// debugMode reads the environment but no entry point reaches it: outside
+// the simulation that is ordinary host I/O.
+func debugMode() string {
+	return os.Getenv("L15_DEBUG")
 }

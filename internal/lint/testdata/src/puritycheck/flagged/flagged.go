@@ -1,7 +1,7 @@
-// Package soc is puritycheck testdata: the package name makes Tick an entry
-// point, and every hazard here hides behind at least one helper call so the
-// syntactic walltime analyzer alone would never see the path.
-package soc
+// Package soc is puritycheck testdata: the import path makes Tick an entry
+// point, and the hazards hide behind helper calls, so the reports carry the
+// call chain from the entry point.
+package soc // import "l15cache/internal/soc"
 
 import (
 	"math/rand"
@@ -63,4 +63,10 @@ func (widget) advance() float64 {
 
 func runAll(st stepper) {
 	_ = st.advance()
+}
+
+// debugStamp is impure but unreachable from any entry point: the direct
+// wall-clock rule still reports it, without a chain.
+func debugStamp() int64 {
+	return time.Now().UnixNano() // want "time.Now reads the wall clock"
 }

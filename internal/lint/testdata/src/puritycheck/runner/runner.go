@@ -1,8 +1,9 @@
-// Package runner (testdata): the harness exemption. Wall-clock reads are
-// legal in a package named runner — elapsed time there feeds only the
-// operator-facing progress/ETA gauges, never a simulated result — but the
-// global math/rand generator stays banned even here.
-package runner
+// Package runner (testdata): the harness exemption, at the real package's
+// import path. Wall-clock reads are legal in internal/runner — elapsed
+// time there feeds only the operator-facing progress/ETA gauges, never a
+// simulated result — but the global math/rand generator stays banned even
+// here.
+package runner // import "l15cache/internal/runner"
 
 import (
 	"math/rand"

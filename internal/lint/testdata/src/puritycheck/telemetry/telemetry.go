@@ -1,8 +1,8 @@
-// Package telemetry (testdata): the telemetry exemption. The sampler and
-// runtime collector timestamp operator-facing observations of the
+// Package telemetry (testdata): the telemetry exemption, at the real
+// package's import path. The sampler and runtime collector timestamp operator-facing observations of the
 // simulation — wall-clock reads are legal here for that pacing and
 // stamping, but the global math/rand generator stays banned even here.
-package telemetry
+package telemetry // import "l15cache/internal/telemetry"
 
 import (
 	"math/rand"

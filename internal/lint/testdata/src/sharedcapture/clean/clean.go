@@ -2,7 +2,7 @@
 // diagnostics: shard-local state, per-shard slots (including nested
 // indexing), read-only captures, pure named shard functions, read-only
 // receivers and receiver rebinding are all within the contract.
-package runner
+package runner // import "l15cache/internal/runner"
 
 // Shard mirrors runner.Shard.
 type Shard struct{ Index int }

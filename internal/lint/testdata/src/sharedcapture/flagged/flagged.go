@@ -2,7 +2,7 @@
 // writes captured or package-level state (directly, through an element,
 // by exposing an address, through a callee, or through a shared
 // receiver), so results would depend on shard scheduling order.
-package runner
+package runner // import "l15cache/internal/runner"
 
 // Shard mirrors runner.Shard.
 type Shard struct{ Index int }

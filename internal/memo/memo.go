@@ -8,7 +8,7 @@
 // the module enforces (DESIGN.md §9, §11, §12): a trial's result is a
 // bit-identical function of its canonical input — independent of worker
 // count, scheduling order, host, wall clock and kernel implementation —
-// and the lint suite (puritycheck, walltime, hotalloc) mechanically
+// and the lint suite (puritycheck, hotalloc) mechanically
 // rejects code that would break that. Under that contract "same key" is
 // exactly "same result", and a cache hit is indistinguishable from a
 // recomputation down to the last byte of every artifact; the memo-smoke

@@ -29,7 +29,7 @@
 //
 // Unlike the simulator packages, the runner is allowed to read the wall
 // clock: elapsed time feeds the operator-facing ETA gauge, never a
-// simulated result. The walltime analyzer encodes exactly this exemption.
+// simulated result. The puritycheck policy table encodes this exemption.
 package runner
 
 import (

@@ -30,12 +30,6 @@ type Options struct {
 	// run warm on conventional platforms. Default 1.
 	Instances int
 
-	// OnDispatch, when non-nil, observes every node placement of every
-	// instance: the core, the node, and the span's fetch/execute
-	// boundaries. The trace package builds Gantt charts and CSV exports
-	// from it.
-	OnDispatch func(instance, core int, v dag.NodeID, start, fetchEnd, end float64)
-
 	// Recorder, when non-nil, receives the flight events of the run
 	// (releases, dispatches, per-edge costs, finishes and the final
 	// makespan check), with Job set to the instance index and Task to
@@ -106,20 +100,13 @@ func Run(alloc *sched.Result, plat Platform, opt Options) ([]InstanceStats, erro
 	var sc scratch
 	var prevCore []int
 	for i := 0; i < opt.Instances; i++ {
-		var observe dispatchFunc
-		if opt.OnDispatch != nil {
-			inst := i
-			observe = func(core int, v dag.NodeID, start, fetchEnd, end float64) {
-				opt.OnDispatch(inst, core, v, start, fetchEnd, end)
-			}
-		}
 		var s InstanceStats
 		var cores []int
 		if opt.Kernel == kernel.Ticked {
-			s, cores = runInstance(alloc, plat, opt.Cores, i == 0, prevCore, observe,
+			s, cores = runInstance(alloc, plat, opt.Cores, i == 0, prevCore,
 				opt.Recorder, int32(opt.RecordTask), int32(i))
 		} else {
-			s, cores = runInstanceEvents(alloc, plat, opt.Cores, i == 0, prevCore, observe,
+			s, cores = runInstanceEvents(alloc, plat, opt.Cores, i == 0, prevCore,
 				opt.Recorder, int32(opt.RecordTask), int32(i), &sc)
 		}
 		stats = append(stats, s)
@@ -128,15 +115,12 @@ func Run(alloc *sched.Result, plat Platform, opt Options) ([]InstanceStats, erro
 	return stats, nil
 }
 
-// dispatchFunc observes one node placement.
-type dispatchFunc func(core int, v dag.NodeID, start, fetchEnd, end float64)
-
 // runInstance simulates one release of the task. cold marks the very first
 // instance (no platform cache state); prevCore carries the previous
 // instance's placement for warm-up and affinity decisions (nil when cold).
 // rec, when non-nil, receives the instance's flight events stamped with
 // (task, job).
-func runInstance(alloc *sched.Result, plat Platform, m int, cold bool, prevCore []int, observe dispatchFunc, rec *flight.Recorder, task, job int32) (InstanceStats, []int) {
+func runInstance(alloc *sched.Result, plat Platform, m int, cold bool, prevCore []int, rec *flight.Recorder, task, job int32) (InstanceStats, []int) {
 	mInstances.Inc()
 	t := alloc.Task
 	n := len(t.Nodes)
@@ -242,9 +226,6 @@ func runInstance(alloc *sched.Result, plat Platform, m int, cold bool, prevCore 
 				A: fetch, B: exec, C: float64(alloc.LocalWays[v])})
 			stats.Comm += fetch
 			stats.Exec += exec
-			if observe != nil {
-				observe(c, v, now, now+fetch, finish)
-			}
 			heap.Push(&events, completion{at: finish, node: v})
 		}
 
@@ -364,7 +345,7 @@ func popCompletion(h *[]completion) completion {
 // container/heap boxing and per-iteration idle-core slices replaced by a
 // hand-rolled heap and scratch reuse. It must emit byte-identical flight
 // events — the kernel-equivalence CI job diffs the two.
-func runInstanceEvents(alloc *sched.Result, plat Platform, m int, cold bool, prevCore []int, observe dispatchFunc, rec *flight.Recorder, task, job int32, sc *scratch) (InstanceStats, []int) {
+func runInstanceEvents(alloc *sched.Result, plat Platform, m int, cold bool, prevCore []int, rec *flight.Recorder, task, job int32, sc *scratch) (InstanceStats, []int) {
 	mInstances.Inc()
 	t := alloc.Task
 	n := len(t.Nodes)
@@ -464,9 +445,6 @@ func runInstanceEvents(alloc *sched.Result, plat Platform, m int, cold bool, pre
 				A: fetch, B: exec, C: float64(alloc.LocalWays[v])})
 			stats.Comm += fetch
 			stats.Exec += exec
-			if observe != nil {
-				observe(c, v, now, now+fetch, finish)
-			}
 			pushCompletion(&events, completion{at: finish, node: v})
 		}
 

@@ -18,8 +18,8 @@
 //     exposition, sampler ring, dashboard) but never written into an
 //     archived artifact;
 //   - the sampler's clock reads are an operator-facing carve-out exactly
-//     like internal/flight's SSE pacing, and the walltime/puritycheck
-//     analyzers encode the boundary.
+//     like internal/flight's SSE pacing, and the puritycheck analyzer's
+//     policy table encodes the boundary.
 //
 // A sweep therefore produces byte-identical experiment artifacts with
 // telemetry on or off — the property the telemetry-determinism CI job
