@@ -133,3 +133,31 @@ func TestSpanInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestRecorderStandalone runs a three-node chain on the raw platform with
+// only a flight recorder attached: it records three spans in chain order,
+// and attaching it leaves the simulated statistics unchanged.
+func TestRecorderStandalone(t *testing.T) {
+	chain := mustSchedule(t, dag.Chain("c", 3, 2, 3, 0.5, 1024))
+	opt := Options{Cores: 2}
+	spans, stats := recordedRun(t, chain, rawPlatform{}, opt)
+	if len(spans) != 3 {
+		t.Fatalf("spans = %d, want 3", len(spans))
+	}
+	for v := 1; v < 3; v++ {
+		prev, cur := spans[[2]int{0, v - 1}], spans[[2]int{0, v}]
+		if prev == nil || cur == nil {
+			t.Fatalf("missing span of node %d or %d", v-1, v)
+		}
+		if cur.start < prev.end {
+			t.Errorf("node %d starts at %g before node %d ends at %g", v, cur.start, v-1, prev.end)
+		}
+	}
+	plain, err := Run(chain, rawPlatform{}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plain) != len(stats) || plain[0] != stats[0] {
+		t.Errorf("recorded run %+v, unrecorded run %+v", stats, plain)
+	}
+}
