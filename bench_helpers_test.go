@@ -122,3 +122,21 @@ func runKernelBench(tb testing.TB) {
 		tb.Fatalf("kernel bench records: %+v", records)
 	}
 }
+
+// cpuLoop is BenchmarkCPUStep's program: 20000 iterations of a load, ALU
+// work, a store and the loop branch over a 1 KiB buffer (160k
+// instructions, all L1 hits after the first pass).
+const cpuLoop = `
+	li s0, 0x4000
+	li t0, 20000
+loop:
+	andi t1, t0, 255
+	slli t1, t1, 2
+	add t2, s0, t1
+	lw t3, 0(t2)
+	addi t3, t3, 1
+	sw t3, 0(t2)
+	addi t0, t0, -1
+	bnez t0, loop
+	ebreak
+`

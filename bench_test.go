@@ -24,9 +24,11 @@ import (
 	"time"
 
 	"l15cache/internal/area"
+	"l15cache/internal/cpu"
 	"l15cache/internal/experiments"
 	"l15cache/internal/flight"
 	"l15cache/internal/rtsim"
+	"l15cache/internal/soc"
 	"l15cache/internal/telemetry"
 	"l15cache/internal/workload"
 )
@@ -219,6 +221,60 @@ func BenchmarkSoCSharing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		runSharingDemo(b)
 	}
+}
+
+// BenchmarkCPUStep measures one core stepping cpuLoop through its SoC
+// memory port (TLB, L1 I$/D$, L1.5, memory) with no run loop around it,
+// and reports host nanoseconds per simulated instruction. A warm-up pass
+// before the timer fills the caches and creates the memory pages, so
+// every timed pass is the steady state.
+func BenchmarkCPUStep(b *testing.B) {
+	s, err := soc.New(soc.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.LoadProgram(0x1000, cpuLoop); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.SetPageTable(0, s.IdentityPageTable(1)); err != nil {
+		b.Fatal(err)
+	}
+	core := s.Cores[0]
+	pass := func() uint64 {
+		s.StartCore(0, 0x1000, 0x8000)
+		before := core.Stats.Instret
+		trap, err := core.Run(1<<30, nil)
+		if err != nil || trap.Kind != cpu.TrapEBreak {
+			b.Fatalf("loop ended with trap %v, err %v", trap.Kind, err)
+		}
+		return core.Stats.Instret - before
+	}
+	pass()
+	var instret uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		instret += pass()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instret), "ns/instr")
+}
+
+// socNewBatch is the number of SoCs one BenchmarkSoCNew op builds, so a
+// single-iteration run times well over a millisecond.
+const socNewBatch = 64
+
+// BenchmarkSoCNew measures building the default 8-core SoC: caches, TLBs,
+// L1.5s, cores and memory. It reports host nanoseconds per SoC.
+func BenchmarkSoCNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < socNewBatch; j++ {
+			if _, err := soc.New(soc.DefaultConfig()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*socNewBatch), "ns/SoC")
 }
 
 // BenchmarkAblationZeta measures the ζ-sweep ablation (reduced size) and

@@ -16,6 +16,15 @@
 //
 // demand is privileged (Table 1): executing it in user mode raises a
 // privilege trap.
+//
+// Each core keeps a decoded-instruction cache: a fixed array of decodeSlots
+// entries indexed by pc>>2 and tagged by the instruction word. The word is
+// always fetched through the memory system (TLB, L1 I$, memory), so timing
+// and statistics are those of an uncached decoder; only the isa.Decode call
+// is skipped when the fetched word equals the slot's tag. Decode is a pure
+// function of the word, so a tag hit is exact under self-modifying code,
+// page-table switches and core restarts with no invalidation. Only
+// successful decodes are cached: an illegal word traps on every fetch.
 package cpu
 
 import (
@@ -132,6 +141,19 @@ type Core struct {
 
 	mem        MemSystem
 	lastLoadRd int // destination of the previous load, -1 if none
+
+	decoded [decodeSlots]decodedSlot
+}
+
+// decodeSlots is the size of the decoded-instruction cache (a power of
+// two): 1 KiB of straight-line code maps without aliasing.
+const decodeSlots = 256
+
+// decodedSlot caches the decoding of word. An empty slot holds OpInvalid,
+// which no successful decode yields, so it never hits.
+type decodedSlot struct {
+	word uint32
+	inst isa.Inst
 }
 
 // New creates a core starting at pc in kernel mode (the reset state).
@@ -169,8 +191,9 @@ func (c *Core) Step() (Trap, error) {
 	}
 	pc := c.PC
 
-	inst, fetchLat, trap := c.fetchDecode(pc)
-	if trap.Kind != TrapNone {
+	var trap Trap
+	inst, fetchLat, ok := c.fetchDecode(pc, &trap)
+	if !ok {
 		c.Halted = true
 		return trap, nil
 	}
@@ -179,18 +202,26 @@ func (c *Core) Step() (Trap, error) {
 }
 
 // fetchDecode reads and decodes the instruction at pc without mutating the
-// core (beyond the memory system's own statistics). A trap result reports
-// fetch faults and illegal encodings.
-func (c *Core) fetchDecode(pc uint32) (isa.Inst, int, Trap) {
+// core beyond the memory system's statistics and the decoded-instruction
+// cache. On a fetch fault or an illegal encoding it writes *trap and
+// returns ok == false.
+func (c *Core) fetchDecode(pc uint32, trap *Trap) (inst isa.Inst, lat int, ok bool) {
 	word, fetchLat, err := c.mem.FetchWord(c.ID, pc)
 	if err != nil {
-		return isa.Inst{}, 0, Trap{Kind: TrapMemFault, PC: pc, Info: err.Error()}
+		*trap = Trap{Kind: TrapMemFault, PC: pc, Info: err.Error()}
+		return isa.Inst{}, 0, false
 	}
-	inst, err := isa.Decode(word)
+	slot := &c.decoded[(pc>>2)%decodeSlots]
+	if slot.word == word && slot.inst.Op != isa.OpInvalid {
+		return slot.inst, fetchLat, true
+	}
+	inst, err = isa.Decode(word)
 	if err != nil {
-		return isa.Inst{}, 0, Trap{Kind: TrapIllegal, PC: pc, Info: err.Error()}
+		*trap = Trap{Kind: TrapIllegal, PC: pc, Info: err.Error()}
+		return isa.Inst{}, 0, false
 	}
-	return inst, fetchLat, Trap{}
+	slot.word, slot.inst = word, inst
+	return inst, fetchLat, true
 }
 
 func (c *Core) chargeFetch(lat int) {
@@ -244,8 +275,7 @@ func (c *Core) executeDecoded(inst isa.Inst, pc uint32) (Trap, error) {
 		c.setReg(inst.Rd, v)
 		c.lastLoadRd = inst.Rd
 	case inst.Op.IsStore():
-		size := storeSize[inst.Op]
-		lat, err := c.mem.Store(c.ID, rs1+uint32(inst.Imm), size, rs2)
+		lat, err := c.mem.Store(c.ID, rs1+uint32(inst.Imm), storeSize[inst.Op], rs2)
 		if err != nil {
 			c.Halted = true
 			return Trap{Kind: TrapMemFault, PC: pc, Info: err.Error()}, nil
@@ -349,19 +379,17 @@ func (c *Core) branchTaken(inst isa.Inst, rs1, rs2 uint32) bool {
 	}
 }
 
-// Access widths per memory op, hoisted to package level: building a map
-// literal per executed load/store is a heap allocation on the step path.
+// Access widths per memory op, indexed by op (0 for non-memory ops): a
+// table lookup on every executed load/store instead of a map probe.
 var (
-	storeSize = map[isa.Op]int{isa.OpSB: 1, isa.OpSH: 2, isa.OpSW: 4}
-	loadSize  = map[isa.Op]int{
+	storeSize = [isa.NumOps]int{isa.OpSB: 1, isa.OpSH: 2, isa.OpSW: 4}
+	loadSize  = [isa.NumOps]int{
 		isa.OpLB: 1, isa.OpLBU: 1, isa.OpLH: 2, isa.OpLHU: 2, isa.OpLW: 4,
 	}
 )
 
 func (c *Core) loadValue(inst isa.Inst, rs1 uint32) (uint32, int, error) {
-	va := rs1 + uint32(inst.Imm)
-	size := loadSize[inst.Op]
-	v, lat, err := c.mem.Load(c.ID, va, size)
+	v, lat, err := c.mem.Load(c.ID, rs1+uint32(inst.Imm), loadSize[inst.Op])
 	if err != nil {
 		return 0, 0, err
 	}

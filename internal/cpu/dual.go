@@ -81,8 +81,9 @@ func (c *Core) StepDual() (Trap, error) {
 	}
 	pc := c.PC
 
-	instA, latA, trap := c.fetchDecode(pc)
-	if trap.Kind != TrapNone {
+	var trap Trap
+	instA, latA, ok := c.fetchDecode(pc, &trap)
+	if !ok {
 		c.Halted = true
 		return trap, nil
 	}
@@ -90,8 +91,8 @@ func (c *Core) StepDual() (Trap, error) {
 		c.chargeFetch(latA)
 		return c.executeDecoded(instA, pc)
 	}
-	instB, latB, trapB := c.fetchDecode(pc + 4)
-	if trapB.Kind != TrapNone || !c.canPair(instA, instB) {
+	instB, latB, ok := c.fetchDecode(pc+4, &trap)
+	if !ok || !c.canPair(instA, instB) {
 		// Issue A alone; B (or its fault) is next cycle's problem.
 		c.chargeFetch(latA)
 		return c.executeDecoded(instA, pc)

@@ -310,18 +310,20 @@ func checkImm(imm int32, bits, align int) error {
 	return nil
 }
 
-// funct-to-op decode tables, hoisted to package level: Decode runs once
-// per fetched instruction, and a map literal per call is a heap
-// allocation on the fetch hot path.
+// NumOps bounds the Op values: an array indexed by Op needs NumOps
+// entries. It is an untyped count, not an Op.
+const NumOps = int(OpIPSET) + 1
+
+// funct-to-op decode tables, indexed by funct3 (decALU by whether funct7
+// is 0x20, then funct3) so a decode costs array loads, not map probes.
+// OpInvalid marks an encoding with no operation.
 var (
-	decBranch = map[uint32]Op{0: OpBEQ, 1: OpBNE, 4: OpBLT, 5: OpBGE, 6: OpBLTU, 7: OpBGEU}
-	decLoad   = map[uint32]Op{0: OpLB, 1: OpLH, 2: OpLW, 4: OpLBU, 5: OpLHU}
-	decStore  = map[uint32]Op{0: OpSB, 1: OpSH, 2: OpSW}
-	decALU    = map[uint32]Op{
-		0<<3 | 0: OpADD, 0x20<<3 | 0: OpSUB,
-		0<<3 | 1: OpSLL, 0<<3 | 2: OpSLT, 0<<3 | 3: OpSLTU,
-		0<<3 | 4: OpXOR, 0<<3 | 5: OpSRL, 0x20<<3 | 5: OpSRA,
-		0<<3 | 6: OpOR, 0<<3 | 7: OpAND,
+	decBranch = [8]Op{0: OpBEQ, 1: OpBNE, 2: OpInvalid, 3: OpInvalid, 4: OpBLT, 5: OpBGE, 6: OpBLTU, 7: OpBGEU}
+	decLoad   = [8]Op{0: OpLB, 1: OpLH, 2: OpLW, 3: OpInvalid, 4: OpLBU, 5: OpLHU, 6: OpInvalid, 7: OpInvalid}
+	decStore  = [8]Op{0: OpSB, 1: OpSH, 2: OpSW, 3: OpInvalid, 4: OpInvalid, 5: OpInvalid, 6: OpInvalid, 7: OpInvalid}
+	decALU    = [2][8]Op{
+		{0: OpADD, 1: OpSLL, 2: OpSLT, 3: OpSLTU, 4: OpXOR, 5: OpSRL, 6: OpOR, 7: OpAND},
+		{0: OpSUB, 1: OpInvalid, 2: OpInvalid, 3: OpInvalid, 4: OpInvalid, 5: OpSRA, 6: OpInvalid, 7: OpInvalid},
 	}
 )
 
@@ -355,20 +357,20 @@ func Decode(w uint32) (Inst, error) {
 		return Inst{Op: OpJALR, Rd: rd, Rs1: rs1, Imm: iImm}, nil
 	case opcBranch:
 		imm := (w>>31&1)<<12 | (w>>7&1)<<11 | (w>>25&0x3f)<<5 | (w >> 8 & 0xf << 1)
-		op, ok := decBranch[f3]
-		if !ok {
+		op := decBranch[f3]
+		if op == OpInvalid {
 			return Inst{}, fmt.Errorf("isa: bad branch funct3 %d", f3)
 		}
 		return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: signExt(imm, 13)}, nil
 	case opcLoad:
-		op, ok := decLoad[f3]
-		if !ok {
+		op := decLoad[f3]
+		if op == OpInvalid {
 			return Inst{}, fmt.Errorf("isa: bad load funct3 %d", f3)
 		}
 		return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: iImm}, nil
 	case opcStore:
-		op, ok := decStore[f3]
-		if !ok {
+		op := decStore[f3]
+		if op == OpInvalid {
 			return Inst{}, fmt.Errorf("isa: bad store funct3 %d", f3)
 		}
 		imm := signExt(w>>25<<5|w>>7&0x1f, 12)
@@ -396,8 +398,14 @@ func Decode(w uint32) (Inst, error) {
 			return Inst{Op: OpSRLI, Rd: rd, Rs1: rs1, Imm: int32(rs2)}, nil
 		}
 	case opcOp:
-		op, ok := decALU[f7<<3|f3]
-		if !ok {
+		var op Op
+		switch f7 {
+		case 0:
+			op = decALU[0][f3]
+		case 0x20:
+			op = decALU[1][f3]
+		}
+		if op == OpInvalid {
 			return Inst{}, fmt.Errorf("isa: bad OP funct %#x/%d", f7, f3)
 		}
 		return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, nil

@@ -253,38 +253,55 @@ func (s *SoC) IdentityPageTable(tid uint16) *tlb.PageTable {
 
 // Run advances the system until every core is halted or maxInstrs
 // instructions have retired per core. Cores are stepped in local-time
-// order (the earliest core executes next), which keeps the interleaving
-// deterministic, and each cluster's SDU ticks forward with global time.
-// The handler receives ECALL traps (may be nil); ebreak halts only its own
-// core. The first error trap (illegal instruction, privilege violation,
-// memory fault) on any core stops the run and is returned.
+// order (the earliest core executes next, the lowest index on ties), which
+// keeps the interleaving deterministic, and each cluster's SDU ticks
+// forward with global time. The handler receives ECALL traps (may be nil);
+// ebreak halts only its own core. The first error trap (illegal
+// instruction, privilege violation, memory fault) on any core stops the
+// run and is returned.
+//
+// The loop keeps one wakeup per core (DESIGN.md §11): a step changes only
+// the stepped core's entry, so one scan of the array finds both the next
+// core and, while no core is capped, the global time (the minimum
+// wakeup). An ECALL handler or an Observer may change any core, so the
+// array is re-filled after either runs.
 func (s *SoC) Run(maxInstrs uint64, handler func(*cpu.Core, cpu.Trap) bool) (cpu.Trap, error) {
 	retired := make([]uint64, len(s.Cores))
-	for {
-		// Pick the core with the earliest wakeup (its local clock;
-		// halted cores report kernel.Never and drop out).
-		best := -1
-		bestWake := kernel.Never
-		for i, c := range s.Cores {
-			if retired[i] >= maxInstrs {
-				continue
-			}
-			if w := c.NextWakeup(); w < bestWake {
-				best, bestWake = i, w
-			}
+	wake := make([]uint64, len(s.Cores))
+	capped := false
+	wakeOf := func(i int) uint64 {
+		if retired[i] >= maxInstrs {
+			capped = true
+			return kernel.Never
 		}
-		if best < 0 {
-			return cpu.Trap{}, nil
+		return s.Cores[i].NextWakeup()
+	}
+	refill := func() {
+		for i := range wake {
+			wake[i] = wakeOf(i)
 		}
+	}
+	refill()
+	best, earliest := earliestWake(wake)
+	for best >= 0 {
 		c := s.Cores[best]
 		trap, err := c.StepIssue()
 		if err != nil {
 			return trap, err
 		}
 		retired[best]++
-		s.tickSDUs()
+		wake[best] = wakeOf(best)
+		best, earliest = earliestWake(wake)
+		if capped || earliest == kernel.Never {
+			// A capped core still holds back global time, and with
+			// every core halted the SDUs settle to the latest clock.
+			earliest = s.globalTime()
+		}
+		s.tickSDUs(earliest)
+		stale := trap.Kind == cpu.TrapECall
 		if s.Observer != nil {
 			s.Observer(s)
+			stale = true
 		}
 		switch trap.Kind {
 		case cpu.TrapNone:
@@ -298,16 +315,29 @@ func (s *SoC) Run(maxInstrs uint64, handler func(*cpu.Core, cpu.Trap) bool) (cpu
 		default:
 			return trap, nil
 		}
+		if stale {
+			refill()
+			best, _ = earliestWake(wake)
+		}
 	}
+	return cpu.Trap{}, nil
 }
 
-// tickSDUs advances every cluster's Walloc to the global time (the minimum
-// core-local clock), preserving the one-way-per-cycle constraint. Under the
-// events kernel a cluster whose SDU reports no wakeup (kernel.Never) jumps
-// its counter straight to the global time instead of idling through the
-// gap cycle by cycle; both kernels reach the same counter value, so every
-// tick-stamped event is identical.
-func (s *SoC) tickSDUs() {
+// earliestWake returns the index of the earliest wakeup (the lowest index
+// on ties) and its value, or -1 and kernel.Never when none is pending.
+func earliestWake(wake []uint64) (int, uint64) {
+	best, at := -1, kernel.Never
+	for i, w := range wake {
+		if w < at {
+			best, at = i, w
+		}
+	}
+	return best, at
+}
+
+// globalTime is the SoC's global time: the minimum clock of the running
+// cores, or the maximum clock once every core has halted.
+func (s *SoC) globalTime() uint64 {
 	var global uint64
 	first := true
 	for _, c := range s.Cores {
@@ -327,6 +357,16 @@ func (s *SoC) tickSDUs() {
 			}
 		}
 	}
+	return global
+}
+
+// tickSDUs advances every cluster's Walloc to the global time, preserving
+// the one-way-per-cycle constraint. Under the events kernel a cluster whose
+// SDU reports no wakeup (kernel.Never) jumps its counter straight to the
+// global time instead of idling through the gap cycle by cycle; both
+// kernels reach the same counter value, so every tick-stamped event is
+// identical.
+func (s *SoC) tickSDUs(global uint64) {
 	for _, cl := range s.Clusters {
 		if s.Cfg.Kernel == kernel.Ticked {
 			for cl.L15.Ticks() < global {
