@@ -13,6 +13,11 @@
 //	BenchmarkFig8c           — L1.5 way utilisation and φ at 100% utilisation
 //	BenchmarkAreaOverhead    — §5.4 silicon overhead ratio
 //
+// Layer benchmarks sit under them: BenchmarkSynthetic (workload
+// generation), BenchmarkAlg1 and BenchmarkLongestPathFirst (sched),
+// BenchmarkSchedsimRun (one trial's simulation), BenchmarkCPUStep and
+// BenchmarkSoCNew (the SoC).
+//
 // The full-size experiments (500 DAGs, 200 trials) live in the cmd/ tools.
 package l15cache_test
 
@@ -28,6 +33,8 @@ import (
 	"l15cache/internal/experiments"
 	"l15cache/internal/flight"
 	"l15cache/internal/rtsim"
+	"l15cache/internal/sched"
+	"l15cache/internal/schedsim"
 	"l15cache/internal/soc"
 	"l15cache/internal/telemetry"
 	"l15cache/internal/workload"
@@ -212,6 +219,63 @@ func BenchmarkAlg1(b *testing.B) {
 		if _, err := scheduleL15(task); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSchedsimRun measures the simulator alone on one Fig. 7 trial's
+// work: a default synthetic DAG, scheduled beforehand, run for 10
+// instances on each of the three systems (Prop under Alg. 1, CMP|L1 and
+// CMP|L2 under longest-path-first).
+func BenchmarkSchedsimRun(b *testing.B) {
+	task := mustSynthetic(b, 1, experiments.DefaultMakespanConfig())
+	prop, err := schedsim.NewProposed(task.Clone(), schedsim.DefaultZeta, schedsim.DefaultWayBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type system struct {
+		plat  schedsim.Platform
+		alloc *sched.Result
+	}
+	systems := []system{{prop, prop.Alloc}}
+	for _, plat := range []schedsim.Platform{schedsim.CMPL1(), schedsim.CMPL2()} {
+		alloc, err := sched.LongestPathFirst(task.Clone())
+		if err != nil {
+			b.Fatal(err)
+		}
+		systems = append(systems, system{plat, alloc})
+	}
+	opt := schedsim.Options{Instances: 10}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range systems {
+			if _, err := schedsim.Run(s.alloc, s.plat, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkLongestPathFirst measures the baselines' priority assignment
+// (He et al. [8]) on a default synthetic DAG.
+func BenchmarkLongestPathFirst(b *testing.B) {
+	task := mustSynthetic(b, 1, experiments.DefaultMakespanConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sched.LongestPathFirst(task); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSynthetic measures generating one §5.1 synthetic DAG with the
+// default parameters, WCET steering included.
+func BenchmarkSynthetic(b *testing.B) {
+	cfg := experiments.DefaultMakespanConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		mustSynthetic(b, int64(i+1), cfg)
 	}
 }
 

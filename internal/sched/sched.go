@@ -8,7 +8,7 @@
 // groups that were already global are freed. Within a wave, nodes are
 // examined in decreasing λ_j (length of the longest path through the node,
 // recomputed by dynamic programming with ETM-reduced edge costs after every
-// wave) and receive
+// wave that granted ways) and receive
 //
 //	F(v_j, Ω, ζ) = min(⌈δ_j/κ⌉, ζ − Σ_{ω∈Ω} ω.size)
 //
@@ -150,6 +150,7 @@ func waveSchedule(t *dag.Task, zeta int, wayBytes int64, allocate bool, rec *fli
 	pri := len(t.Nodes)  // pri = |V_i|
 	var pbuf dag.PathBuf // scratch reused by every λ recomputation
 	lambda := t.LongestThroughInto(dag.RawCost, &pbuf)
+	maxLambda := maxOf(lambda)
 	weight := res.Model.Weight()
 
 	waveIdx := int32(0)
@@ -190,6 +191,7 @@ func waveSchedule(t *dag.Task, zeta int, wayBytes int64, allocate bool, rec *fli
 			Time: float64(waveIdx), Task: task, Job: -1, Node: -1,
 			Core: -1, Cluster: -1, Wave: waveIdx,
 			A: float64(len(wave)), B: float64(used)})
+		granted := false
 		for _, vj := range wave {
 			// Local ways hold dependent data for suc(v_j); a node
 			// with no successors needs none (Fig. 6: the sink only
@@ -201,6 +203,7 @@ func waveSchedule(t *dag.Task, zeta int, wayBytes int64, allocate bool, rec *fli
 					used += size
 					res.LocalWays[vj] = size
 					res.Model.Ways[vj] = size
+					granted = true
 					mWayGrants.Add(uint64(size))
 					rec.Emit(flight.Event{Kind: flight.KindPlanWays,
 						Time: float64(waveIdx), Task: task, Job: -1,
@@ -220,15 +223,14 @@ func waveSchedule(t *dag.Task, zeta int, wayBytes int64, allocate bool, rec *fli
 		mWaves.Inc()
 		mNodes.Add(uint64(len(wave)))
 
-		// Line 20: refresh λ_j under the new allocation.
-		lambda = t.LongestThroughInto(weight, &pbuf)
-		mLambda.Inc()
-		maxLambda := 0.0
-		for _, l := range lambda {
-			if l > maxLambda {
-				maxLambda = l
-			}
+		// Line 20: refresh λ_j under the new allocation. Grants are
+		// the only change to Model.Ways, and etm.Cost with no ways is
+		// the raw μ, so a wave without grants leaves λ bit-identical.
+		if granted {
+			lambda = t.LongestThroughInto(weight, &pbuf)
+			maxLambda = maxOf(lambda)
 		}
+		mLambda.Inc()
 		rec.Emit(flight.Event{Kind: flight.KindLambda,
 			Time: float64(waveIdx), Task: task, Job: -1, Node: -1,
 			Core: -1, Cluster: -1, Wave: waveIdx, A: maxLambda})
@@ -245,6 +247,17 @@ func waveSchedule(t *dag.Task, zeta int, wayBytes int64, allocate bool, rec *fli
 		}
 	}
 	return res, nil
+}
+
+// maxOf returns the largest λ_j, or 0 for an empty task.
+func maxOf(lambda []float64) float64 {
+	m := 0.0
+	for _, l := range lambda {
+		if l > m {
+			m = l
+		}
+	}
+	return m
 }
 
 // fWays is F(v_j, Ω, ζ) = min(⌈δ_j/κ⌉, ζ − ΣΩ); used is ΣΩ.

@@ -16,6 +16,11 @@ import (
 // how long its computation runs and how expensive each incoming edge's data
 // transfer is. The simulator is agnostic to which concrete system is behind
 // the interface.
+//
+// ExecTime, CommCost and Affinity must be pure functions of their
+// arguments and the platform's fixed configuration: no state may carry
+// from one call or instance to the next. Run relies on this to copy an
+// instance whose inputs repeat the previous one (Options.Instances).
 type Platform interface {
 	// Name identifies the system in reports (e.g. "Prop", "CMP|L1").
 	Name() string

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"l15cache/internal/dag"
@@ -27,7 +28,15 @@ type Options struct {
 
 	// Instances is the number of consecutive task instances to simulate.
 	// The first instance starts with cold caches; later instances may
-	// run warm on conventional platforms. Default 1.
+	// run warm on conventional platforms. Default 1; negative is an
+	// error.
+	//
+	// A warm instance's result depends only on the previous instance's
+	// placement, so once two consecutive warm instances end with the same
+	// placement every later instance repeats them. Without a Recorder,
+	// Run then copies the previous InstanceStats instead of simulating
+	// again (the schedsim.instances and schedsim.dispatches counters
+	// still advance as for a full run).
 	Instances int
 
 	// Recorder, when non-nil, receives the flight events of the run
@@ -93,13 +102,28 @@ func Run(alloc *sched.Result, plat Platform, opt Options) ([]InstanceStats, erro
 	if opt.Cores < 1 {
 		return nil, fmt.Errorf("schedsim: need at least one core, got %d", opt.Cores)
 	}
+	if opt.Instances < 1 {
+		return nil, fmt.Errorf("schedsim: need at least one instance, got %d", opt.Instances)
+	}
 	if err := alloc.Task.Validate(); err != nil {
 		return nil, err
 	}
 	stats := make([]InstanceStats, 0, opt.Instances)
 	var sc scratch
-	var prevCore []int
+	// prevCore and olderCore are the placements of the last two
+	// instances. Both stay readable: the ticked kernel allocates each
+	// placement and the events kernel double-buffers them in sc.
+	var prevCore, olderCore []int
 	for i := 0; i < opt.Instances; i++ {
+		// Instance i ≥ 2 gets the same inputs as instance i-1 (warm,
+		// same prevCore) when the last two placements match, so it
+		// would repeat it exactly (Platform methods are pure).
+		if i >= 2 && opt.Recorder == nil && slices.Equal(prevCore, olderCore) {
+			mInstances.Inc()
+			mDispatches.Add(uint64(len(alloc.Task.Nodes)))
+			stats = append(stats, stats[i-1])
+			continue
+		}
 		var s InstanceStats
 		var cores []int
 		if opt.Kernel == kernel.Ticked {
@@ -110,7 +134,7 @@ func Run(alloc *sched.Result, plat Platform, opt Options) ([]InstanceStats, erro
 				opt.Recorder, int32(opt.RecordTask), int32(i), &sc)
 		}
 		stats = append(stats, s)
-		prevCore = cores
+		olderCore, prevCore = prevCore, cores
 	}
 	return stats, nil
 }

@@ -170,11 +170,18 @@ func TestProposedBeatsRawOnCommHeavyTask(t *testing.T) {
 	}
 }
 
+// TestRunErrors checks that out-of-range counts are errors, not panics.
 func TestRunErrors(t *testing.T) {
-	task := dag.Fig1Example()
-	alloc := mustSchedule(t, task)
-	if _, err := Run(alloc, rawPlatform{}, Options{Cores: -2}); err == nil {
-		t.Error("negative core count accepted")
+	alloc := mustSchedule(t, dag.Fig1Example())
+	for _, opt := range []Options{
+		{Cores: -2},
+		{Cores: -8, Instances: 3},
+		{Instances: -1},
+		{Instances: -100, Cores: 4},
+	} {
+		if stats, err := Run(alloc, rawPlatform{}, opt); err == nil {
+			t.Errorf("Run(%+v) = %v, want an error", opt, stats)
+		}
 	}
 }
 

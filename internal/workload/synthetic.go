@@ -182,26 +182,28 @@ func assignWCETs(r *rand.Rand, t *dag.Task, p SynthParams) {
 	rescaleTotal(t, w)
 
 	target := p.CPR * w
+	var buf dag.PathBuf
+	var path []dag.NodeID
+	onPath := make([]int, len(t.Nodes)) // 1 + the last iteration a node was on the path
 	for iter := 0; iter < 200; iter++ {
-		cp := t.CriticalPathLength(dag.ZeroCost)
+		var cp float64
+		cp, path = t.CriticalPathInto(dag.ZeroCost, &buf, path)
 		if diff := cp - target; diff < 0.01*w && diff > -0.01*w {
 			break
 		}
-		path := t.CriticalPath(dag.ZeroCost)
 		factor := target / cp
 		// Damp the adjustment to avoid oscillation between competing
 		// near-critical paths.
 		factor = 0.5 + 0.5*factor
-		onPath := make(map[dag.NodeID]bool, len(path))
 		for _, id := range path {
-			onPath[id] = true
+			onPath[id] = iter + 1
 			t.Node(id).WCET *= factor
 		}
 		// If the path must grow, deflate the rest so renormalisation
 		// does not cancel the adjustment.
 		if factor > 1 {
 			for _, n := range t.Nodes {
-				if !onPath[n.ID] {
+				if onPath[n.ID] != iter+1 {
 					n.WCET /= factor
 				}
 			}

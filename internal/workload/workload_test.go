@@ -345,3 +345,70 @@ func TestParsecProfilesShapeTasks(t *testing.T) {
 		}
 	}
 }
+
+// assignWCETsTwoPass is the WCET steering as it was before
+// dag.CriticalPathInto: a CriticalPathLength pass and a separate
+// CriticalPath pass per iteration.
+func assignWCETsTwoPass(r *rand.Rand, t *dag.Task, p SynthParams) {
+	w := p.Utilization * t.Period
+	for _, n := range t.Nodes {
+		n.WCET = 0.5 + r.Float64()
+	}
+	rescaleTotal(t, w)
+	target := p.CPR * w
+	for iter := 0; iter < 200; iter++ {
+		cp := t.CriticalPathLength(dag.ZeroCost)
+		if diff := cp - target; diff < 0.01*w && diff > -0.01*w {
+			break
+		}
+		path := t.CriticalPath(dag.ZeroCost)
+		factor := 0.5 + 0.5*(target/cp)
+		onPath := make(map[dag.NodeID]bool, len(path))
+		for _, id := range path {
+			onPath[id] = true
+			t.Node(id).WCET *= factor
+		}
+		if factor > 1 {
+			for _, n := range t.Nodes {
+				if !onPath[n.ID] {
+					n.WCET /= factor
+				}
+			}
+		}
+		rescaleTotal(t, w)
+	}
+}
+
+// TestSteeringMatchesTwoPass holds the one-pass WCET steering to the
+// two-pass one on the DAGs Synthetic builds, over many seeds and the
+// sweep axes of Fig. 7. Synthetic is structure, then assignWCETs, then
+// assignCommCosts, all from one random stream; equal canonical encodings
+// and equal stream positions after steering make its output unchanged.
+func TestSteeringMatchesTwoPass(t *testing.T) {
+	variants := []func(*SynthParams){
+		func(*SynthParams) {},
+		func(p *SynthParams) { p.Utilization = 0.2 },
+		func(p *SynthParams) { p.CPR = 0.5 },
+		func(p *SynthParams) { p.MaxWidth = 21 },
+	}
+	for vi, vary := range variants {
+		p := DefaultSynthParams()
+		vary(&p)
+		for seed := int64(1); seed <= 150; seed++ {
+			task, err := Synthetic(rand.New(rand.NewSource(seed)), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := task.Clone(), task.Clone()
+			rGot, rWant := rand.New(rand.NewSource(-seed)), rand.New(rand.NewSource(-seed))
+			assignWCETs(rGot, got, p)
+			assignWCETsTwoPass(rWant, want, p)
+			if string(got.AppendCanonical(nil)) != string(want.AppendCanonical(nil)) {
+				t.Fatalf("variant %d seed %d: one-pass steering changed the task", vi, seed)
+			}
+			if a, b := rGot.Int63(), rWant.Int63(); a != b {
+				t.Fatalf("variant %d seed %d: random streams diverged after steering", vi, seed)
+			}
+		}
+	}
+}
