@@ -87,7 +87,10 @@ func ETMCost(mu, alpha float64, dataBytes, wayBytes int64, n int) float64 {
 
 // Makespan simulation (internal/schedsim).
 type (
-	// Platform abstracts the simulated system (Proposed or a CMP).
+	// Platform abstracts the simulated system (Proposed or a CMP). Its
+	// ExecTime, CommCost and Affinity must be pure functions of their
+	// arguments: Simulate copies an instance whose inputs repeat the
+	// previous one instead of simulating it again.
 	Platform = schedsim.Platform
 	// Proposed is the L1.5 + Alg. 1 system.
 	Proposed = schedsim.Proposed
