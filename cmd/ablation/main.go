@@ -9,7 +9,6 @@
 //
 //	ablation [-dags N] [-trials N] [-seed S] [-which zeta|kappa|prio|delay|etm|all]
 //	         [-workers N] [-checkpoint file.json] [-memo] [-memo-dir DIR]
-//	         [-kernel events|ticked]
 //
 // Trials fan out on the internal/runner pool: -workers caps the
 // concurrency (0 = NumCPU) without changing any result, -checkpoint makes
@@ -27,7 +26,6 @@ import (
 
 	"l15cache/internal/cli"
 	"l15cache/internal/experiments"
-	"l15cache/internal/kernel"
 	"l15cache/internal/memo"
 	"l15cache/internal/metrics"
 	"l15cache/internal/runner"
@@ -47,17 +45,11 @@ func main() {
 	memoDir := flag.String("memo-dir", "", "on-disk trial cache directory, shareable across runs (implies -memo)")
 	metricsOut := flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file (chrome://tracing)")
-	kernelFlag := flag.String("kernel", "events", "simulator kernel: events (time-skipping) or ticked (legacy; identical results)")
 	showVersion := cli.VersionFlag()
 	startTelemetry := cli.TelemetryFlag()
 	flag.Parse()
 	showVersion()
 	flushTelemetry := startTelemetry()
-
-	kern, err := kernel.Parse(*kernelFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	ctx, stop := runner.SignalContext(context.Background())
 	defer stop()
@@ -85,7 +77,6 @@ func main() {
 	cfg.DAGs = *dags
 	cfg.Seed = *seed
 	cfg.Run = run
-	cfg.Kernel = kern
 
 	want := func(name string) bool { return *which == "all" || *which == name }
 	ran := false
@@ -116,7 +107,7 @@ func main() {
 	}
 	if want("delay") {
 		ran = true
-		res, err := experiments.AblateConfigDelay(ctx, *trials, *seed, run, kern, experiments.AblationDelayDefault())
+		res, err := experiments.AblateConfigDelay(ctx, *trials, *seed, run, experiments.AblationDelayDefault())
 		if err != nil {
 			die(err)
 		}

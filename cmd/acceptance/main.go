@@ -7,7 +7,7 @@
 // Usage:
 //
 //	acceptance [-dags N] [-cores M] [-seed S] [-workers N] [-checkpoint file.json]
-//	           [-memo] [-memo-dir DIR] [-kernel events|ticked]
+//	           [-memo] [-memo-dir DIR]
 //
 // Trials fan out on the internal/runner pool: -workers caps the
 // concurrency (0 = NumCPU) without changing any result, -checkpoint makes
@@ -25,7 +25,6 @@ import (
 
 	"l15cache/internal/cli"
 	"l15cache/internal/experiments"
-	"l15cache/internal/kernel"
 	"l15cache/internal/memo"
 	"l15cache/internal/metrics"
 	"l15cache/internal/runner"
@@ -45,17 +44,11 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of the formatted table")
 	metricsOut := flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file (chrome://tracing)")
-	kernelFlag := flag.String("kernel", "events", "simulator kernel: events (time-skipping) or ticked (legacy; identical results)")
 	showVersion := cli.VersionFlag()
 	startTelemetry := cli.TelemetryFlag()
 	flag.Parse()
 	showVersion()
 	flushTelemetry := startTelemetry()
-
-	kern, err := kernel.Parse(*kernelFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	ctx, stop := runner.SignalContext(context.Background())
 	defer stop()
@@ -82,7 +75,6 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg.Run = runner.Options{Workers: *workers, Checkpoint: *checkpoint, Memo: cache}
-	cfg.Kernel = kern
 
 	utils := []float64{0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0}
 	points, err := experiments.AcceptanceRatio(ctx, cfg, utils)

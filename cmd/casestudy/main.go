@@ -6,7 +6,6 @@
 //
 //	casestudy [-cores 8|16] [-trials N] [-step pct] [-seed S]
 //	          [-workers N] [-checkpoint file.json] [-memo] [-memo-dir DIR]
-//	          [-kernel events|ticked]
 //
 // Trials fan out on the internal/runner pool: -workers caps the
 // concurrency (0 = NumCPU) without changing any result, -checkpoint makes
@@ -25,18 +24,21 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 
 	"l15cache/internal/cli"
 	"l15cache/internal/experiments"
 	"l15cache/internal/flight"
-	"l15cache/internal/kernel"
 	"l15cache/internal/memo"
 	"l15cache/internal/metrics"
 	"l15cache/internal/rtsim"
 	"l15cache/internal/runner"
 	"l15cache/internal/workload"
 )
+
+// minStep is the finest -step accepted: 0.1% utilisation.
+const minStep = 0.001
 
 func main() {
 	log.SetFlags(0)
@@ -55,17 +57,16 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file (chrome://tracing)")
 	flightOut := flag.String("flight", "", "record one representative trial to this flight file (.jsonl or .bin)")
-	kernelFlag := flag.String("kernel", "events", "simulator kernel: events (time-skipping) or ticked (legacy; identical results)")
 	showVersion := cli.VersionFlag()
 	startTelemetry := cli.TelemetryFlag()
 	flag.Parse()
 	showVersion()
-	flushTelemetry := startTelemetry()
-
-	kern, err := kernel.Parse(*kernelFlag)
-	if err != nil {
-		log.Fatal(err)
+	// The utilisation loop below ends only for a finite positive step, and
+	// a tinier one than minStep would build a sweep of enormous size.
+	if !(*step >= minStep) || math.IsInf(*step, 1) {
+		log.Fatalf("-step must be a finite utilisation step of at least %g, got %g", minStep, *step)
 	}
+	flushTelemetry := startTelemetry()
 
 	ctx, stop := runner.SignalContext(context.Background())
 	defer stop()
@@ -100,7 +101,6 @@ func main() {
 	cfg.Trials = *trials
 	cfg.Seed = *seed
 	cfg.RT.Partitioned = *partitioned
-	cfg.RT.Kernel = kern
 	cache, err := memo.FromFlags(*memoFlag, *memoDir)
 	if err != nil {
 		log.Fatal(err)
@@ -108,7 +108,7 @@ func main() {
 	cfg.Run = runner.Options{Workers: *workers, Checkpoint: *checkpoint, Memo: cache}
 
 	if rec != nil {
-		if err := recordTrial(*seed, *cores, rec, kern); err != nil {
+		if err := recordTrial(*seed, *cores, rec); err != nil {
 			die(err)
 		}
 	}
@@ -137,7 +137,7 @@ func main() {
 // recordTrial runs one representative case-study trial (60% utilisation,
 // proposed system) with the flight recorder attached. The recording is a
 // pure function of seed and cores.
-func recordTrial(seed int64, cores int, rec *flight.Recorder, kern kernel.Mode) error {
+func recordTrial(seed int64, cores int, rec *flight.Recorder) error {
 	r := rand.New(rand.NewSource(seed))
 	set := workload.DefaultTaskSetParams()
 	set.TargetUtilization = 0.6 * float64(cores)
@@ -148,7 +148,6 @@ func recordTrial(seed int64, cores int, rec *flight.Recorder, kern kernel.Mode) 
 	cfg := rtsim.DefaultConfig()
 	cfg.Cores = cores
 	cfg.Recorder = rec
-	cfg.Kernel = kern
 	_, err = rtsim.Run(tasks, rtsim.KindProp, cfg)
 	return err
 }

@@ -7,7 +7,7 @@
 //
 //	makespan [-sweep u|p|cpr|all] [-dags N] [-instances N] [-cores N]
 //	         [-seed S] [-workers N] [-checkpoint file.json] [-memo]
-//	         [-memo-dir DIR] [-kernel events|ticked]
+//	         [-memo-dir DIR]
 //
 // With the defaults (500 DAGs × 10 instances, as in §5.1) a full run takes
 // a few minutes; use -dags 100 for a quick pass. Trials fan out on the
@@ -27,7 +27,6 @@ import (
 
 	"l15cache/internal/cli"
 	"l15cache/internal/experiments"
-	"l15cache/internal/kernel"
 	"l15cache/internal/memo"
 	"l15cache/internal/metrics"
 	"l15cache/internal/runner"
@@ -49,17 +48,11 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of the formatted tables")
 	metricsOut := flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file (chrome://tracing)")
-	kernelFlag := flag.String("kernel", "events", "simulator kernel: events (time-skipping) or ticked (legacy; identical results)")
 	showVersion := cli.VersionFlag()
 	startTelemetry := cli.TelemetryFlag()
 	flag.Parse()
 	showVersion()
 	flushTelemetry := startTelemetry()
-
-	kern, err := kernel.Parse(*kernelFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	ctx, stop := runner.SignalContext(context.Background())
 	defer stop()
@@ -87,7 +80,6 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg.Run = runner.Options{Workers: *workers, Checkpoint: *checkpoint, Memo: cache}
-	cfg.Kernel = kern
 
 	type sweepRun struct {
 		name string

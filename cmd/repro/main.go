@@ -7,7 +7,7 @@
 //
 //	repro [-quick] [-o report.md] [-seed S] [-workers N] [-checkpoint cp.json]
 //	      [-memo] [-memo-dir DIR] [-metrics m.json] [-trace t.json]
-//	      [-flight rec.jsonl] [-kernel events|ticked]
+//	      [-flight rec.jsonl]
 //
 // -quick runs reduced sample sizes (~30 s); the default runs the paper's
 // full sizes (500 DAGs × 10 instances, 200 trials — several minutes).
@@ -41,7 +41,6 @@ import (
 	"l15cache/internal/cli"
 	"l15cache/internal/experiments"
 	"l15cache/internal/flight"
-	"l15cache/internal/kernel"
 	"l15cache/internal/memo"
 	"l15cache/internal/metrics"
 	"l15cache/internal/monitor"
@@ -56,9 +55,8 @@ import (
 // default metrics registry and tracer. This is what puts real L1/L1.5/L2
 // hit+miss counters and an SDU reassignment-latency histogram into the
 // -metrics snapshot.
-func socSmoke(rec *flight.Recorder, kern kernel.Mode) (string, error) {
+func socSmoke(rec *flight.Recorder) (string, error) {
 	cfg := soc.DefaultConfig()
-	cfg.Kernel = kern
 	s, err := soc.New(cfg)
 	if err != nil {
 		return "", err
@@ -112,7 +110,7 @@ func socSmoke(rec *flight.Recorder, kern kernel.Mode) (string, error) {
 // recordTrial runs one representative Fig. 8 case-study trial (8 cores,
 // 60% utilisation, proposed system) with the flight recorder attached.
 // The recording is a pure function of seed.
-func recordTrial(seed int64, rec *flight.Recorder, kern kernel.Mode) error {
+func recordTrial(seed int64, rec *flight.Recorder) error {
 	r := rand.New(rand.NewSource(seed))
 	set := workload.DefaultTaskSetParams()
 	set.TargetUtilization = 0.6 * 8
@@ -122,7 +120,6 @@ func recordTrial(seed int64, rec *flight.Recorder, kern kernel.Mode) error {
 	}
 	cfg := rtsim.DefaultConfig()
 	cfg.Recorder = rec
-	cfg.Kernel = kern
 	_, err = rtsim.Run(tasks, rtsim.KindProp, cfg)
 	return err
 }
@@ -141,17 +138,11 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file (chrome://tracing)")
 	flightOut := flag.String("flight", "", "write a flight recording (.jsonl or .bin) of a representative trial")
-	kernelFlag := flag.String("kernel", "events", "simulator kernel: events (time-skipping) or ticked (legacy; identical results)")
 	showVersion := cli.VersionFlag()
 	startTelemetry := cli.TelemetryFlag()
 	flag.Parse()
 	showVersion()
 	flushTelemetry := startTelemetry()
-
-	kern, err := kernel.Parse(*kernelFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	ctx, stop := runner.SignalContext(context.Background())
 	defer stop()
@@ -195,12 +186,10 @@ func main() {
 	mk := experiments.DefaultMakespanConfig()
 	mk.Seed = *seed
 	mk.Run = run
-	mk.Kernel = kern
 	cs8 := experiments.DefaultCaseStudyConfig(8)
 	cs16 := experiments.DefaultCaseStudyConfig(16)
 	cs8.Seed, cs16.Seed = *seed, *seed
 	cs8.Run, cs16.Run = run, run
-	cs8.RT.Kernel, cs16.RT.Kernel = kern, kern
 	seTrials := 50
 	utils := []float64{0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90}
 	if *quick {
@@ -258,7 +247,6 @@ func main() {
 	// Fig. 8(c).
 	step("Fig. 8(c) — side effects")
 	seRT := rtsim.DefaultConfig()
-	seRT.Kernel = kern
 	sePts, err := experiments.RunSideEffects(ctx, experiments.SideEffectsConfig{
 		Trials: seTrials,
 		Seed:   *seed,
@@ -309,7 +297,6 @@ func main() {
 	acc := experiments.DefaultAcceptanceConfig()
 	acc.Seed = *seed
 	acc.Run = run
-	acc.Kernel = kern
 	if *quick {
 		acc.DAGs = 50
 	}
@@ -326,7 +313,7 @@ func main() {
 	// real-time trial whose flight recording cmd/explain can dissect.
 	if *flightOut != "" {
 		step("flight-recorded case-study trial")
-		if err := recordTrial(*seed, rec, kern); err != nil {
+		if err := recordTrial(*seed, rec); err != nil {
 			die(err)
 		}
 	}
@@ -334,7 +321,7 @@ func main() {
 	// Cycle-accurate smoke: the SoC + monitor run that grounds the metrics
 	// snapshot in real cache counters.
 	step("cycle-accurate smoke (SoC + monitor)")
-	smoke, err := socSmoke(rec, kern)
+	smoke, err := socSmoke(rec)
 	if err != nil {
 		die(err)
 	}

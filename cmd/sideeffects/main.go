@@ -6,7 +6,7 @@
 // Usage:
 //
 //	sideeffects [-trials N] [-seed S] [-workers N] [-checkpoint file.json]
-//	            [-memo] [-memo-dir DIR] [-kernel events|ticked]
+//	            [-memo] [-memo-dir DIR]
 //
 // Trials fan out on the internal/runner pool: -workers caps the
 // concurrency (0 = NumCPU) without changing any result, -checkpoint makes
@@ -24,7 +24,6 @@ import (
 
 	"l15cache/internal/cli"
 	"l15cache/internal/experiments"
-	"l15cache/internal/kernel"
 	"l15cache/internal/memo"
 	"l15cache/internal/metrics"
 	"l15cache/internal/rtsim"
@@ -45,17 +44,11 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of the formatted table")
 	metricsOut := flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file (chrome://tracing)")
-	kernelFlag := flag.String("kernel", "events", "simulator kernel: events (time-skipping) or ticked (legacy; identical results)")
 	showVersion := cli.VersionFlag()
 	startTelemetry := cli.TelemetryFlag()
 	flag.Parse()
 	showVersion()
 	flushTelemetry := startTelemetry()
-
-	kern, err := kernel.Parse(*kernelFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	ctx, stop := runner.SignalContext(context.Background())
 	defer stop()
@@ -79,7 +72,6 @@ func main() {
 	}
 
 	rt := rtsim.DefaultConfig()
-	rt.Kernel = kern
 	cfg := experiments.SideEffectsConfig{
 		Trials: *trials,
 		Seed:   *seed,

@@ -7,7 +7,6 @@ import (
 
 	"l15cache/internal/dag"
 	"l15cache/internal/etm"
-	"l15cache/internal/kernel"
 	"l15cache/internal/rtsim"
 	"l15cache/internal/runner"
 	"l15cache/internal/sched"
@@ -72,7 +71,7 @@ func meanPropMakespan(ctx context.Context, name string, cfg MakespanConfig, zeta
 		if err != nil {
 			return 0, err
 		}
-		st, err := schedsim.Run(p.Alloc, p, schedsim.Options{Cores: cfg.Cores, Instances: 1, Kernel: cfg.Kernel})
+		st, err := schedsim.Run(p.Alloc, p, schedsim.Options{Cores: cfg.Cores, Instances: 1})
 		if err != nil {
 			return 0, err
 		}
@@ -216,7 +215,7 @@ func AblatePriorities(ctx context.Context, cfg MakespanConfig) (PriorityAblation
 }
 
 func oneNormMakespan(alloc *sched.Result, plat schedsim.Platform, cfg MakespanConfig) (float64, error) {
-	st, err := schedsim.Run(alloc, plat, schedsim.Options{Cores: cfg.Cores, Instances: 1, Kernel: cfg.Kernel})
+	st, err := schedsim.Run(alloc, plat, schedsim.Options{Cores: cfg.Cores, Instances: 1})
 	if err != nil {
 		return 0, err
 	}
@@ -235,9 +234,8 @@ func (p PriorityAblation) Format() string {
 
 // AblateConfigDelay sweeps the SDU per-way configuration delay in the
 // periodic simulator and reports φ (the §5.3 metric) at 8 cores, 80%
-// utilisation. run carries the worker-pool/checkpoint settings; kern
-// selects the simulator kernel (events by default).
-func AblateConfigDelay(ctx context.Context, trials int, seed int64, run runner.Options, kern kernel.Mode, delays []float64) (*AblationResult, error) {
+// utilisation. run carries the worker-pool/checkpoint settings.
+func AblateConfigDelay(ctx context.Context, trials int, seed int64, run runner.Options, delays []float64) (*AblationResult, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("experiments: trials = %d", trials)
 	}
@@ -251,7 +249,6 @@ func AblateConfigDelay(ctx context.Context, trials int, seed int64, run runner.O
 		}
 		cfg := rtsim.DefaultConfig()
 		cfg.WayConfigDelay = d
-		cfg.Kernel = kern
 		phis, err := runner.Map(ctx, runner.Config{
 			Name:        fmt.Sprintf("ablation/delay=%g", d),
 			RootSeed:    runner.Seed(seed, di),

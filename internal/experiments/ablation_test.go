@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"l15cache/internal/kernel"
 	"l15cache/internal/runner"
 )
 
@@ -76,7 +75,7 @@ func TestAblatePriorities(t *testing.T) {
 }
 
 func TestAblateConfigDelay(t *testing.T) {
-	res, err := AblateConfigDelay(context.Background(), 5, 1, runner.Options{}, kernel.Events, []float64{0, 0.05})
+	res, err := AblateConfigDelay(context.Background(), 5, 1, runner.Options{}, []float64{0, 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +86,10 @@ func TestAblateConfigDelay(t *testing.T) {
 	if res.Points[1].Value <= 0 {
 		t.Errorf("φ with slow SDU = %g, want > 0", res.Points[1].Value)
 	}
-	if _, err := AblateConfigDelay(context.Background(), 0, 1, runner.Options{}, kernel.Events, []float64{0}); err == nil {
+	if _, err := AblateConfigDelay(context.Background(), 0, 1, runner.Options{}, []float64{0}); err == nil {
 		t.Error("zero trials accepted")
 	}
-	if _, err := AblateConfigDelay(context.Background(), 1, 1, runner.Options{}, kernel.Events, []float64{-1}); err == nil {
+	if _, err := AblateConfigDelay(context.Background(), 1, 1, runner.Options{}, []float64{-1}); err == nil {
 		t.Error("negative delay accepted")
 	}
 }

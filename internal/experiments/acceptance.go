@@ -7,7 +7,6 @@ import (
 
 	"l15cache/internal/analysis"
 	"l15cache/internal/dag"
-	"l15cache/internal/kernel"
 	"l15cache/internal/runner"
 	"l15cache/internal/schedsim"
 	"l15cache/internal/workload"
@@ -44,7 +43,6 @@ type AcceptanceConfig struct {
 	Seed     int64
 	Base     workload.SynthParams
 	Run      runner.Options // worker pool / checkpoint settings
-	Kernel   kernel.Mode    // simulator kernel (events by default)
 }
 
 // DefaultAcceptanceConfig mirrors the makespan experiment's platform.
@@ -104,7 +102,7 @@ func AcceptanceRatio(ctx context.Context, cfg AcceptanceConfig, utils []float64)
 			}
 
 			// Ground truth on the proposed platform.
-			st, err := schedsim.Run(prop.Alloc, prop, schedsim.Options{Cores: cfg.Cores, Kernel: cfg.Kernel})
+			st, err := schedsim.Run(prop.Alloc, prop, schedsim.Options{Cores: cfg.Cores})
 			if err != nil {
 				return tr, err
 			}

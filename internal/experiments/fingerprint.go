@@ -13,8 +13,8 @@ import (
 // encoded:
 //
 //   - in: everything the shard function's result depends on besides the
-//     shard identity — model parameters, workload descriptors, kernel
-//     mode, instance counts;
+//     shard identity — model parameters, workload descriptors, instance
+//     counts;
 //   - out: everything that cannot change a result — trial counts (each
 //     shard is keyed individually), root seeds (folded into the shard
 //     seed by runner.Seed) and the runner.Options operational knobs.
@@ -33,7 +33,6 @@ func makespanFingerprint(cfg MakespanConfig, p workload.SynthParams) []byte {
 	e.I64("cores", int64(cfg.Cores))
 	e.I64("zeta", int64(cfg.Zeta))
 	e.I64("way_bytes", cfg.WayBytes)
-	e.Str("kernel", cfg.Kernel.String())
 	p.AppendFingerprint(e)
 	return e.Fingerprint()
 }
@@ -45,7 +44,6 @@ func propMakespanFingerprint(cfg MakespanConfig, zeta int, wayBytes int64) []byt
 	e.I64("cores", int64(cfg.Cores))
 	e.I64("zeta", int64(zeta))
 	e.I64("way_bytes", wayBytes)
-	e.Str("kernel", cfg.Kernel.String())
 	cfg.Base.AppendFingerprint(e)
 	return e.Fingerprint()
 }
@@ -56,7 +54,6 @@ func prioAblationFingerprint(cfg MakespanConfig) []byte {
 	e.I64("cores", int64(cfg.Cores))
 	e.I64("zeta", int64(cfg.Zeta))
 	e.I64("way_bytes", cfg.WayBytes)
-	e.Str("kernel", cfg.Kernel.String())
 	cfg.Base.AppendFingerprint(e)
 	return e.Fingerprint()
 }
@@ -80,7 +77,6 @@ func acceptanceFingerprint(cfg AcceptanceConfig, p workload.SynthParams) []byte 
 	e.I64("cores", int64(cfg.Cores))
 	e.I64("zeta", int64(cfg.Zeta))
 	e.I64("way_bytes", cfg.WayBytes)
-	e.Str("kernel", cfg.Kernel.String())
 	p.AppendFingerprint(e)
 	return e.Fingerprint()
 }

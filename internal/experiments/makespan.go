@@ -46,7 +46,12 @@ type MakespanConfig struct {
 	Seed      int64 // root RNG seed (per-DAG seeds derive from it)
 	Base      workload.SynthParams
 	Run       runner.Options // worker pool / checkpoint settings
-	Kernel    kernel.Mode    // simulator kernel (events by default)
+
+	// Kernel names the simulator kernel; events is the only one.
+	//
+	// Deprecated: nothing reads it. It stays only because the perfbench
+	// module still names it, and goes when that reference does.
+	Kernel kernel.Mode
 }
 
 // DefaultMakespanConfig mirrors §5.1 with the paper's defaults.
@@ -142,7 +147,7 @@ func runOneDAG(cfg MakespanConfig, p workload.SynthParams, seed int64) (dagResul
 		Avg:   map[string]float64{},
 		Worst: map[string]float64{},
 	}
-	opt := schedsim.Options{Cores: cfg.Cores, Instances: cfg.Instances, Kernel: cfg.Kernel}
+	opt := schedsim.Options{Cores: cfg.Cores, Instances: cfg.Instances}
 
 	// Proposed: Algorithm 1 priorities + ETM communication.
 	prop, err := schedsim.NewProposed(task.Clone(), cfg.Zeta, cfg.WayBytes)
@@ -202,8 +207,8 @@ func SweepCPR(ctx context.Context, cfg MakespanConfig, values []float64) (*Makes
 }
 
 func sweep(ctx context.Context, cfg MakespanConfig, name string, values []float64, set func(*workload.SynthParams, float64)) (*MakespanSweep, error) {
-	if cfg.DAGs <= 0 || cfg.Instances <= 0 {
-		return nil, fmt.Errorf("experiments: need positive DAGs and Instances")
+	if cfg.DAGs <= 0 || cfg.Instances <= 0 || cfg.Cores <= 0 {
+		return nil, fmt.Errorf("experiments: need positive DAGs, Instances and Cores")
 	}
 	out := &MakespanSweep{Name: name}
 	for i, v := range values {

@@ -164,11 +164,41 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
+// TestSweepConfigValidation: every sweep rejects a non-positive DAG or core
+// count. A zero core count must not fall back to schedsim's 8-core default
+// (and be memoized under a key of its own).
 func TestSweepConfigValidation(t *testing.T) {
-	cfg := smallCfg()
-	cfg.DAGs = 0
-	if _, err := SweepUtilization(context.Background(), cfg, []float64{0.5}); err == nil {
-		t.Error("zero DAGs accepted")
+	sweeps := []struct {
+		name  string
+		run   func(context.Context, MakespanConfig, []float64) (*MakespanSweep, error)
+		value float64 // a point the sweep accepts with a valid config
+	}{
+		{"utilization", SweepUtilization, 0.5},
+		{"width", SweepWidth, 9},
+		{"cpr", SweepCPR, 0.3},
+	}
+	bad := []struct {
+		name string
+		edit func(*MakespanConfig)
+	}{
+		{"zero DAGs", func(c *MakespanConfig) { c.DAGs = 0 }},
+		{"zero cores", func(c *MakespanConfig) { c.Cores = 0 }},
+		{"negative cores", func(c *MakespanConfig) { c.Cores = -1 }},
+	}
+	for _, sw := range sweeps {
+		cfg := smallCfg()
+		cfg.DAGs = 1
+		if _, err := sw.run(context.Background(), cfg, []float64{sw.value}); err != nil {
+			t.Fatalf("%s sweep rejected a valid config: %v", sw.name, err)
+		}
+		for _, b := range bad {
+			cfg := smallCfg()
+			cfg.DAGs = 1
+			b.edit(&cfg)
+			if _, err := sw.run(context.Background(), cfg, []float64{sw.value}); err == nil {
+				t.Errorf("%s sweep accepted %s", sw.name, b.name)
+			}
+		}
 	}
 }
 

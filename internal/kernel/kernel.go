@@ -1,56 +1,36 @@
-// Package kernel defines the simulator kernel modes and the wakeup
-// protocol shared by the cycle-accurate SoC and the continuous-time
-// drivers (DESIGN.md §11).
+// Package kernel defines the wakeup protocol shared by the cycle-accurate
+// SoC and the continuous-time drivers (DESIGN.md §11).
 //
 // A simulated unit that consumes clock cycles implements the wakeup
 // protocol: it reports the next cycle at which ticking it would change
 // state (a miss completing, the Walloc FSM moving a way, a task release).
-// When every unit reports Never, the kernel may jump the clock directly
-// to the earliest external wakeup instead of idling through no-op ticks —
-// the "events" kernel. The legacy "ticked" kernel advances one cycle at a
-// time regardless; both must produce byte-identical flight recordings,
-// metrics snapshots and experiment outputs, which the kernel-equivalence
-// CI job enforces with a byte compare.
+// When every unit reports Never, the simulator jumps the clock directly to
+// the earliest external wakeup instead of idling through no-op ticks. The
+// jump lands on the same counter values a cycle-by-cycle loop would reach;
+// each simulator's tests hold it to such a loop, kept as a test-side
+// reference.
 package kernel
 
 import "fmt"
 
-// Mode selects the simulator kernel. The zero value is Events, the
-// time-skipping kernel; Ticked is the legacy cycle-by-cycle kernel kept
-// for one release so the equivalence harness can diff the two.
+// Mode names the simulator kernel. Events, the time-skipping kernel, is
+// the only one.
+//
+// Deprecated: nothing selects a kernel. Mode remains only for the two
+// deprecated Kernel fields (schedsim.Options and experiments.MakespanConfig)
+// that the perfbench module still names, and goes with them.
 type Mode uint8
 
-const (
-	// Events is the event-driven time-skipping kernel: when no unit is
-	// runnable the clock jumps to the minimum reported wakeup.
-	Events Mode = iota
+// Events is the event-driven time-skipping kernel: when no unit is
+// runnable the clock jumps to the minimum reported wakeup.
+const Events Mode = 0
 
-	// Ticked is the legacy kernel: every unit is ticked every cycle,
-	// even through known-latency stalls.
-	Ticked
-)
-
-// String returns the flag spelling of the mode.
+// String returns the name of the mode.
 func (m Mode) String() string {
-	switch m {
-	case Events:
+	if m == Events {
 		return "events"
-	case Ticked:
-		return "ticked"
 	}
 	return fmt.Sprintf("kernel.Mode(%d)", uint8(m))
-}
-
-// Parse converts a -kernel flag value into a Mode. The empty string
-// selects the default (events) kernel.
-func Parse(s string) (Mode, error) {
-	switch s {
-	case "", "events":
-		return Events, nil
-	case "ticked":
-		return Ticked, nil
-	}
-	return Events, fmt.Errorf("kernel: unknown mode %q (want ticked or events)", s)
 }
 
 // Never is the wakeup a unit reports when no future tick can change its

@@ -1,46 +1,19 @@
 package kernel
 
-import (
-	"strings"
-	"testing"
-)
-
-func TestParse(t *testing.T) {
-	cases := map[string]Mode{"": Events, "events": Events, "ticked": Ticked}
-	for in, want := range cases {
-		got, err := Parse(in)
-		if err != nil {
-			t.Errorf("Parse(%q): %v", in, err)
-		}
-		if got != want {
-			t.Errorf("Parse(%q) = %v, want %v", in, got, want)
-		}
-	}
-	if _, err := Parse("bogus"); err == nil {
-		t.Error("Parse(\"bogus\") accepted")
-	} else if !strings.Contains(err.Error(), "bogus") {
-		t.Errorf("error does not name the bad mode: %v", err)
-	}
-}
-
-func TestStringRoundTrip(t *testing.T) {
-	for _, m := range []Mode{Events, Ticked} {
-		got, err := Parse(m.String())
-		if err != nil || got != m {
-			t.Errorf("Parse(%v.String()) = %v, %v", m, got, err)
-		}
-	}
-	if s := Mode(7).String(); s != "kernel.Mode(7)" {
-		t.Errorf("Mode(7).String() = %q", s)
-	}
-}
+import "testing"
 
 func TestZeroValueIsEvents(t *testing.T) {
-	// Experiment configs rely on the zero value selecting the default
-	// (time-skipping) kernel.
+	// The deprecated Kernel fields are never set: their zero value must
+	// name the one kernel, and fingerprint as "events".
 	var m Mode
 	if m != Events {
 		t.Errorf("zero Mode = %v, want Events", m)
+	}
+	if s := m.String(); s != "events" {
+		t.Errorf("zero Mode spells %q, want events", s)
+	}
+	if s := Mode(7).String(); s != "kernel.Mode(7)" {
+		t.Errorf("Mode(7).String() = %q", s)
 	}
 }
 

@@ -393,8 +393,8 @@ func (l *L15) NextWakeup() uint64 {
 // AdvanceTo brings the SDU cycle counter to target, ticking while the
 // Walloc has work and jumping the counter across idle stretches. Because
 // cores are scanned round-robin from the tick counter, the skip lands on
-// the same counter value ticked mode would reach, so the two kernels stay
-// byte-identical in every tick-stamped event.
+// the same counter value ticking cycle by cycle would reach, so every
+// tick-stamped event is the same as under a Tick loop.
 func (l *L15) AdvanceTo(target uint64) {
 	for l.ticks < target {
 		if l.sduIdle() {

@@ -103,19 +103,19 @@ func runOnInjected(t *testing.T, dir string, a *Analyzer) []Diagnostic {
 	return diags
 }
 
-// TestFingerprintCompleteCatchesInjectedOmission removes the kernel key
+// TestFingerprintCompleteCatchesInjectedOmission removes the instances key
 // from makespanFingerprint — the builder still observes MakespanConfig
-// through its other fields, but runOneDAG's cfg.Kernel read is no longer
-// covered — and requires the analyzer to report that exact field.
+// through its other fields, but runOneDAG's cfg.Instances read is no
+// longer covered — and requires the analyzer to report that exact field.
 func TestFingerprintCompleteCatchesInjectedOmission(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a package copy through go list")
 	}
 	dir := copyPackageSources(t, filepath.Join("..", "experiments"))
 	injectIntoFile(t, dir, "fingerprint.go", func(src string) (string, bool) {
-		// Scope the deletion to makespanFingerprint's body: the same
-		// kernel line appears in the other builders too, and those must
-		// stay intact so only one omission exists.
+		// Scope the deletion to makespanFingerprint's body, so a line
+		// of the same shape in another builder stays intact and only
+		// one omission exists.
 		start := strings.Index(src, `memo.NewEncoder("makespan/point")`)
 		if start < 0 {
 			return src, false
@@ -125,7 +125,7 @@ func TestFingerprintCompleteCatchesInjectedOmission(t *testing.T) {
 			return src, false
 		}
 		window := src[start : start+rel]
-		marker := "\te.Str(\"kernel\", cfg.Kernel.String())\n"
+		marker := "\te.I64(\"instances\", int64(cfg.Instances))\n"
 		if !strings.Contains(window, marker) {
 			return src, false
 		}
@@ -135,7 +135,7 @@ func TestFingerprintCompleteCatchesInjectedOmission(t *testing.T) {
 	diags := runOnInjected(t, dir, FingerprintComplete)
 	found := false
 	for _, d := range diags {
-		if !d.Warning && strings.Contains(d.Message, "MakespanConfig.Kernel") &&
+		if !d.Warning && strings.Contains(d.Message, "MakespanConfig.Instances") &&
 			strings.Contains(d.Message, "makespanFingerprint") {
 			found = true
 			if len(d.Chain) == 0 {

@@ -72,13 +72,13 @@ var policies = map[string]policy{
 	"l15cache/internal/cpu":     {PurityRoots: simEntry, HotRoots: hotFamily},
 	"l15cache/internal/soc":     {DetMap: true, PurityRoots: simEntry, HotRoots: plus(hotFamily, "tickSDUs")},
 	"l15cache/internal/l15":     {DetMap: true, PurityRoots: simEntry, HotRoots: hotFamily},
-	"l15cache/internal/rtsim":   {DetMap: true, PurityRoots: simEntry, HotRoots: plus(hotFamily, "dispatch", "dispatchTicked")},
+	"l15cache/internal/rtsim":   {DetMap: true, PurityRoots: simEntry, HotRoots: plus(hotFamily, "dispatch")},
 	"l15cache/internal/rtos":    {PurityRoots: simEntry},
 	"l15cache/internal/sched":   {DetMap: true, PurityRoots: simEntry},
 	"l15cache/internal/etm":     {PurityRoots: simEntry},
 	"l15cache/internal/monitor": {PurityRoots: simEntry},
 	"l15cache/internal/schedsim": {DetMap: true, PurityRoots: simEntry,
-		HotRoots: plus(hotFamily, "runInstance", "runInstanceEvents")},
+		HotRoots: plus(hotFamily, "runInstance")},
 	"l15cache/internal/experiments": {DetMap: true, PurityRoots: []string{exportedRoots}},
 	"l15cache/internal/bitmap":      {BitmapOwner: true},
 

@@ -2,12 +2,13 @@ package lint
 
 // WakeupSafe machine-checks the kernel wakeup protocol of DESIGN.md §11,
 // the contract the event-driven time-skipping kernel rests on (and that
-// CI today only probes dynamically with byte-compare smoke runs):
+// the simulators' tests only probe dynamically, against cycle-by-cycle
+// reference loops):
 //
 //  1. every NextWakeup implementation must be *pure over its receiver* —
 //     a wakeup probe that mutates state makes the probe itself advance
-//     the simulation, so the events kernel diverges from the ticked one
-//     the moment it asks. Receiver-field writes anywhere in the
+//     the simulation, so the skipping kernel diverges from a cycle-by-
+//     cycle run the moment it asks. Receiver-field writes anywhere in the
 //     transitive callee closure are reported with the full call chain,
 //     and so are the puritycheck determinism sinks (wall-clock, global
 //     rand, env/FS reads) — a wakeup computed from host state breaks
@@ -158,7 +159,7 @@ func reportWakeupImpurity(mp *ModulePass, fs *FactSet, node *CallNode) {
 		switch f.Kind {
 		case "state-write":
 			mp.ReportAt(f.Origin, chain,
-				"%s must be pure over its receiver but reaches a %s: %s; a wakeup probe that mutates state desynchronises the events kernel from the ticked one",
+				"%s must be pure over its receiver but reaches a %s: %s; a wakeup probe that mutates state desynchronises the time-skipping kernel from a cycle-by-cycle run",
 				DisplayName(node.Fn), f.Sink, ChainString(chain))
 		case "wall-clock", "global-rand", "fs-read":
 			mp.ReportAt(f.Origin, chain,

@@ -27,6 +27,5 @@ func (c Config) AppendFingerprint(e *memo.Encoder) bool {
 	e.F64("rtsim.horizon_periods", c.HorizonPeriods)
 	e.F64("rtsim.way_config_delay", c.WayConfigDelay)
 	e.Bool("rtsim.partitioned", c.Partitioned)
-	e.Str("rtsim.kernel", c.Kernel.String())
 	return true
 }

@@ -23,7 +23,6 @@ import (
 	"l15cache/internal/dag"
 	"l15cache/internal/etm"
 	"l15cache/internal/flight"
-	"l15cache/internal/kernel"
 	"l15cache/internal/metrics"
 	"l15cache/internal/sched"
 	"l15cache/internal/schedsim"
@@ -107,12 +106,6 @@ type Config struct {
 	// guaranteed-allocation setting the ETM analysis assumes — at the
 	// price of lost global work conservation.
 	Partitioned bool
-
-	// Kernel selects the dispatch kernel. The zero value, kernel.Events,
-	// reuses per-trial scratch buffers in the dispatch loop; kernel.Ticked
-	// keeps the legacy allocating dispatcher. Both share one event heap
-	// and emit byte-identical flight recordings (DESIGN.md §11).
-	Kernel kernel.Mode
 }
 
 // DefaultConfig mirrors the paper's 8-core SoC (two clusters of four cores,
@@ -281,7 +274,6 @@ type sim struct {
 	cfg       Config
 	rec       *flight.Recorder
 	kind      Kind
-	kernel    kernel.Mode
 	plat      *schedsim.CMP // nil for Prop
 	tasks     []*dag.Task
 	allocs    []*sched.Result
@@ -306,7 +298,7 @@ type sim struct {
 	reclaimable []int
 	sduFreeAt   []float64 // per cluster: SDU busy-until
 
-	// events-kernel scratch, reused across dispatch rounds so the
+	// dispatch scratch, reused across dispatch rounds so the
 	// steady-state loop allocates nothing.
 	idleBuf        []int
 	clusterIdleBuf []int
@@ -326,15 +318,32 @@ type sim struct {
 
 // Run simulates one trial of the task set on the selected system and
 // returns its metrics. The task set is not mutated (tasks are cloned so the
-// per-system priority assignment stays internal).
+// per-system priority assignment stays internal). The event loop takes
+// releases and completions in time order, with a dispatch pass after every
+// event instant.
 func Run(tasks []*dag.Task, kind Kind, cfg Config) (Metrics, error) {
-	if err := cfg.fill(); err != nil {
+	var s sim
+	if err := s.setup(tasks, kind, cfg); err != nil {
 		return Metrics{}, err
 	}
-	if len(tasks) == 0 {
-		return Metrics{}, fmt.Errorf("rtsim: empty task set")
+	tl := s.plan()
+	for s.advance(&tl) {
+		s.dispatch()
 	}
-	s := &sim{cfg: cfg, rec: cfg.Recorder, kind: kind, kernel: cfg.Kernel}
+	return s.finish(tl.jobs), nil
+}
+
+// setup prepares a trial of the task set on the selected system: the
+// per-task schedules, rate-monotonic ranks, per-core and per-cluster state
+// and, in partitioned mode, the cluster binding.
+func (s *sim) setup(tasks []*dag.Task, kind Kind, cfg Config) error {
+	if err := cfg.fill(); err != nil {
+		return err
+	}
+	if len(tasks) == 0 {
+		return fmt.Errorf("rtsim: empty task set")
+	}
+	*s = sim{cfg: cfg, rec: cfg.Recorder, kind: kind}
 	switch kind {
 	case KindProp:
 	case KindCMPL1:
@@ -344,7 +353,7 @@ func Run(tasks []*dag.Task, kind Kind, cfg Config) (Metrics, error) {
 	case KindSharedL1:
 		s.plat = schedsim.SharedL1()
 	default:
-		return Metrics{}, fmt.Errorf("rtsim: unknown system %v", kind)
+		return fmt.Errorf("rtsim: unknown system %v", kind)
 	}
 
 	// Per-task scheduling (priorities and, for Prop, the way plan).
@@ -359,7 +368,7 @@ func Run(tasks []*dag.Task, kind Kind, cfg Config) (Metrics, error) {
 			alloc, err = sched.LongestPathFirstRec(c, s.rec, ti)
 		}
 		if err != nil {
-			return Metrics{}, err
+			return err
 		}
 		s.tasks = append(s.tasks, c)
 		s.allocs = append(s.allocs, alloc)
@@ -399,23 +408,24 @@ func Run(tasks []*dag.Task, kind Kind, cfg Config) (Metrics, error) {
 	if cfg.Partitioned {
 		s.partitionTasks()
 	}
-
-	s.run()
-	s.metrics.System = kind
-	mTrials.Inc()
-	mJobs.Add(uint64(s.metrics.Jobs))
-	mMisses.Add(uint64(s.metrics.Misses))
-	return s.metrics, nil
+	return nil
 }
 
-// run executes the event loop: releases and completions in time order, with
-// a dispatch pass after every event.
-func (s *sim) run() {
-	// Pre-compute all releases inside the horizon.
-	type release struct {
-		at      float64
-		taskIdx int
-	}
+// release is one job release: its instant and task.
+type release struct {
+	at      float64
+	taskIdx int
+}
+
+// timeline is a trial's release schedule and the jobs released so far.
+type timeline struct {
+	releases []release // every release inside the horizon, in time order
+	next     int       // index of the next release
+	jobs     []*job
+}
+
+// plan precomputes every release inside the horizon.
+func (s *sim) plan() timeline {
 	var releases []release
 	for i, t := range s.tasks {
 		for k := 0; ; k++ {
@@ -432,38 +442,47 @@ func (s *sim) run() {
 		}
 		return s.rmRank[releases[a].taskIdx] < s.rmRank[releases[b].taskIdx]
 	})
+	return timeline{releases: releases}
+}
 
-	var jobs []*job
-	ri := 0
-	for ri < len(releases) || s.events.Len() > 0 {
-		// Next event time: release or completion.
-		next := math.Inf(1)
-		if ri < len(releases) {
-			next = releases[ri].at
-		}
-		if s.events.Len() > 0 && s.events[0].at < next {
-			next = s.events[0].at
-		}
-		s.integrate(next)
-		s.now = next
-
-		// Process completions at this instant first (frees cores and
-		// ways before new dispatches).
-		for s.events.Len() > 0 && s.events[0].at <= s.now {
-			ev := popEvent(&s.events)
-			s.complete(ev.j, ev.v)
-		}
-		// Then releases.
-		for ri < len(releases) && releases[ri].at <= s.now {
-			rel := releases[ri]
-			ri++
-			j := s.newJob(rel.taskIdx, rel.at)
-			jobs = append(jobs, j)
-			s.metrics.Jobs++
-			s.ready = append(s.ready, readyNode{j: j, v: j.task.Source()})
-		}
-		s.dispatch()
+// advance moves the trial to its next event instant, a release or a
+// completion, and processes the completions and releases due then. It
+// reports false, changing nothing, once no release or completion is left.
+func (s *sim) advance(tl *timeline) bool {
+	if tl.next >= len(tl.releases) && s.events.Len() == 0 {
+		return false
 	}
+	// Next event time: release or completion.
+	next := math.Inf(1)
+	if tl.next < len(tl.releases) {
+		next = tl.releases[tl.next].at
+	}
+	if s.events.Len() > 0 && s.events[0].at < next {
+		next = s.events[0].at
+	}
+	s.integrate(next)
+	s.now = next
+
+	// Process completions at this instant first (frees cores and
+	// ways before new dispatches).
+	for s.events.Len() > 0 && s.events[0].at <= s.now {
+		ev := popEvent(&s.events)
+		s.complete(ev.j, ev.v)
+	}
+	// Then releases.
+	for tl.next < len(tl.releases) && tl.releases[tl.next].at <= s.now {
+		rel := tl.releases[tl.next]
+		tl.next++
+		j := s.newJob(rel.taskIdx, rel.at)
+		tl.jobs = append(tl.jobs, j)
+		s.metrics.Jobs++
+		s.ready = append(s.ready, readyNode{j: j, v: j.task.Source()})
+	}
+	return true
+}
+
+// finish closes the trial after the last event and returns its metrics.
+func (s *sim) finish(jobs []*job) Metrics {
 	// Any job still unfinished at the horizon missed its deadline (the
 	// deadline was inside the horizon by construction).
 	for _, j := range jobs {
@@ -486,6 +505,11 @@ func (s *sim) run() {
 	if s.respJobs > 0 {
 		s.metrics.MeanResponse = s.respSum / float64(s.respJobs)
 	}
+	s.metrics.System = s.kind
+	mTrials.Inc()
+	mJobs.Add(uint64(s.metrics.Jobs))
+	mMisses.Add(uint64(s.metrics.Misses))
+	return s.metrics
 }
 
 func (s *sim) newJob(taskIdx int, at float64) *job {
@@ -592,14 +616,9 @@ func (s *sim) partitionTasks() {
 }
 
 // dispatch places ready nodes on idle cores, highest priority first. In
-// partitioned mode a node may only use its task's cluster. The events
-// kernel reuses the sim's scratch buffers; the ticked kernel keeps the
-// legacy allocating loop. Both visit nodes and cores in the same order.
+// partitioned mode a node may only use its task's cluster. It reuses the
+// sim's scratch buffers, so the steady state allocates nothing.
 func (s *sim) dispatch() {
-	if s.kernel == kernel.Ticked {
-		s.dispatchTicked()
-		return
-	}
 	for {
 		idle := s.idleBuf[:0]
 		for c, f := range s.freeAt {
@@ -651,67 +670,8 @@ func (s *sim) dispatch() {
 	}
 }
 
-// dispatchTicked is the legacy dispatcher, kept for one release behind
-// -kernel=ticked so the equivalence harness can diff the kernels.
-func (s *sim) dispatchTicked() {
-	for {
-		var idle []int
-		for c, f := range s.freeAt {
-			if f <= s.now {
-				idle = append(idle, c)
-			}
-		}
-		if len(idle) == 0 || len(s.ready) == 0 {
-			return
-		}
-		if s.partition == nil {
-			ri := s.pickReady()
-			rn := s.ready[ri]
-			s.ready = append(s.ready[:ri], s.ready[ri+1:]...)
-			s.place(rn, idle)
-			continue
-		}
-		placed := false
-		taken := make(map[int]bool) //lint:ignore hotalloc legacy ticked dispatcher, kept verbatim for the kernel-equivalence harness
-		for !placed {
-			ri := s.pickReadyExcluding(taken)
-			if ri < 0 {
-				return
-			}
-			rn := s.ready[ri]
-			cl := s.partition[rn.j.taskIdx]
-			var clusterIdle []int
-			for _, c := range idle {
-				if c/s.cfg.ClusterSize == cl {
-					clusterIdle = append(clusterIdle, c)
-				}
-			}
-			if len(clusterIdle) == 0 {
-				taken[ri] = true
-				continue
-			}
-			s.ready = append(s.ready[:ri], s.ready[ri+1:]...)
-			s.place(rn, clusterIdle)
-			placed = true
-		}
-	}
-}
-
-// pickReadyExcluding returns the best ready index not in skip, or -1.
-func (s *sim) pickReadyExcluding(skip map[int]bool) int {
-	best := -1
-	for i := range s.ready {
-		if skip[i] {
-			continue
-		}
-		if best < 0 || s.readyLess(s.ready[i], s.ready[best]) {
-			best = i
-		}
-	}
-	return best
-}
-
-// pickReadySkipping is pickReadyExcluding over a dense scratch mask.
+// pickReadySkipping returns the best ready index whose skip entry is
+// false, or -1.
 func (s *sim) pickReadySkipping(skip []bool) int {
 	best := -1
 	for i := range s.ready {

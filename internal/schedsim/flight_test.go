@@ -5,7 +5,6 @@ import (
 
 	"l15cache/internal/dag"
 	"l15cache/internal/flight"
-	"l15cache/internal/kernel"
 	"l15cache/internal/sched"
 )
 
@@ -19,14 +18,20 @@ type span struct {
 	dispatched, done int
 }
 
-// recordedRun simulates alloc with a flight recorder attached and returns
-// the spans keyed by (job, node), plus the per-instance statistics.
-func recordedRun(t *testing.T, alloc *sched.Result, plat Platform, opt Options) (map[[2]int]*span, []InstanceStats) {
+// recordedRun simulates alloc with a flight recorder attached, with Run or,
+// when ticked, with the ticked reference loop, and returns the spans keyed
+// by (job, node), plus the per-instance statistics.
+func recordedRun(t *testing.T, alloc *sched.Result, plat Platform, opt Options, ticked bool) (map[[2]int]*span, []InstanceStats) {
 	t.Helper()
 	opt.Recorder = flight.New()
-	stats, err := Run(alloc, plat, opt)
-	if err != nil {
-		t.Fatal(err)
+	var stats []InstanceStats
+	if ticked {
+		stats, _ = runReference(alloc, plat, opt, true)
+	} else {
+		var err error
+		if stats, err = Run(alloc, plat, opt); err != nil {
+			t.Fatal(err)
+		}
 	}
 	spans := map[[2]int]*span{}
 	get := func(e flight.Event) *span {
@@ -54,14 +59,16 @@ func recordedRun(t *testing.T, alloc *sched.Result, plat Platform, opt Options) 
 
 // recordedCase is one run the span tests check.
 type recordedCase struct {
-	name  string
-	alloc *sched.Result
-	plat  Platform
-	opt   Options
-	nodes int
+	name   string
+	alloc  *sched.Result
+	plat   Platform
+	opt    Options
+	ticked bool // run the ticked reference loop instead of Run
+	nodes  int
 }
 
-// recordedCases are the runs the span tests check, under both kernels.
+// recordedCases are the runs the span tests check, with Run and with the
+// ticked reference loop.
 func recordedCases(t *testing.T) []recordedCase {
 	t.Helper()
 	prop, err := NewProposed(dag.Fig1Example(), 16, 2048)
@@ -70,10 +77,11 @@ func recordedCases(t *testing.T) []recordedCase {
 	}
 	chain := mustSchedule(t, dag.Chain("c", 3, 2, 3, 0.5, 1024))
 	var cases []recordedCase
-	for _, k := range []kernel.Mode{kernel.Events, kernel.Ticked} {
+	for _, ticked := range []bool{false, true} {
+		k := kernelName(ticked)
 		cases = append(cases,
-			recordedCase{"fig1-proposed/" + k.String(), prop.Alloc, prop, Options{Cores: 4, Instances: 2, Kernel: k}, 7},
-			recordedCase{"chain-raw/" + k.String(), chain, rawPlatform{}, Options{Cores: 2, Kernel: k}, 3})
+			recordedCase{"fig1-proposed/" + k, prop.Alloc, prop, Options{Cores: 4, Instances: 2}, ticked, 7},
+			recordedCase{"chain-raw/" + k, chain, rawPlatform{}, Options{Cores: 2}, ticked, 3})
 	}
 	return cases
 }
@@ -83,7 +91,7 @@ func recordedCases(t *testing.T) []recordedCase {
 // last finish is the makespan the simulator reports.
 func TestRecordCapturesAllNodes(t *testing.T) {
 	for _, c := range recordedCases(t) {
-		spans, stats := recordedRun(t, c.alloc, c.plat, c.opt)
+		spans, stats := recordedRun(t, c.alloc, c.plat, c.opt, c.ticked)
 		instances := max(c.opt.Instances, 1)
 		if len(spans) != c.nodes*instances {
 			t.Errorf("%s: %d spans, want %d nodes × %d instances", c.name, len(spans), c.nodes, instances)
@@ -113,7 +121,7 @@ func TestRecordCapturesAllNodes(t *testing.T) {
 // overlap on a core (execution is non-preemptive).
 func TestSpanInvariants(t *testing.T) {
 	for _, c := range recordedCases(t) {
-		spans, _ := recordedRun(t, c.alloc, c.plat, c.opt)
+		spans, _ := recordedRun(t, c.alloc, c.plat, c.opt, c.ticked)
 		var all []*span
 		for _, s := range spans {
 			if !(s.start <= s.fetchEnd && s.fetchEnd <= s.end) {
@@ -140,7 +148,7 @@ func TestSpanInvariants(t *testing.T) {
 func TestRecorderStandalone(t *testing.T) {
 	chain := mustSchedule(t, dag.Chain("c", 3, 2, 3, 0.5, 1024))
 	opt := Options{Cores: 2}
-	spans, stats := recordedRun(t, chain, rawPlatform{}, opt)
+	spans, stats := recordedRun(t, chain, rawPlatform{}, opt, false)
 	if len(spans) != 3 {
 		t.Fatalf("spans = %d, want 3", len(spans))
 	}

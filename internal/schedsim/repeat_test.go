@@ -9,15 +9,15 @@ import (
 
 	"l15cache/internal/dag"
 	"l15cache/internal/flight"
-	"l15cache/internal/kernel"
 	"l15cache/internal/sched"
 	"l15cache/internal/workload"
 )
 
 // runReference is Run without the repeated-instance copy: it simulates
-// every instance. It also reports how many instances Run may copy, so a
+// every instance, with runInstance or, when ticked, with the reference
+// runInstanceTicked. It also reports how many instances Run may copy, so a
 // test can tell whether it exercised the copy at all.
-func runReference(alloc *sched.Result, plat Platform, opt Options) ([]InstanceStats, int) {
+func runReference(alloc *sched.Result, plat Platform, opt Options, ticked bool) ([]InstanceStats, int) {
 	opt.fill()
 	var sc scratch
 	var stats []InstanceStats
@@ -29,13 +29,14 @@ func runReference(alloc *sched.Result, plat Platform, opt Options) ([]InstanceSt
 		}
 		var s InstanceStats
 		var cores []int
-		if opt.Kernel == kernel.Ticked {
-			s, cores = runInstance(alloc, plat, opt.Cores, i == 0, prevCore, nil, 0, int32(i))
+		rec, task, job := opt.Recorder, int32(opt.RecordTask), int32(i)
+		if ticked {
+			s, cores = runInstanceTicked(alloc, plat, opt.Cores, i == 0, prevCore, rec, task, job)
 		} else {
-			s, cores = runInstanceEvents(alloc, plat, opt.Cores, i == 0, prevCore, nil, 0, int32(i), &sc)
+			s, cores = runInstance(alloc, plat, opt.Cores, i == 0, prevCore, rec, task, job, &sc)
 		}
 		stats = append(stats, s)
-		// The events kernel reuses its placement buffers; keep copies.
+		// runInstance reuses its placement buffers; keep copies.
 		olderCore, prevCore = prevCore, slices.Clone(cores)
 	}
 	return stats, repeats
@@ -65,7 +66,8 @@ func repeatSystems(t *testing.T, task *dag.Task) []system {
 
 // TestRunCopiesRepeatedInstances holds Run to the reference loop that
 // simulates every instance: the stats must be bit-identical across DAG
-// seeds, the four systems, instance counts, core counts and both kernels.
+// seeds, the four systems, instance counts, core counts and both the
+// production and the ticked instance loop.
 func TestRunCopiesRepeatedInstances(t *testing.T) {
 	p := workload.DefaultSynthParams()
 	repeats := 0
@@ -77,15 +79,15 @@ func TestRunCopiesRepeatedInstances(t *testing.T) {
 		for _, sys := range repeatSystems(t, task) {
 			for _, instances := range []int{1, 2, 3, 10} {
 				for _, cores := range []int{1, 2, 8} {
-					for _, k := range []kernel.Mode{kernel.Events, kernel.Ticked} {
+					for _, ticked := range []bool{false, true} {
 						name := fmt.Sprintf("seed %d %s instances %d cores %d %s",
-							seed, sys.plat.Name(), instances, cores, k)
-						opt := Options{Cores: cores, Instances: instances, Kernel: k}
+							seed, sys.plat.Name(), instances, cores, kernelName(ticked))
+						opt := Options{Cores: cores, Instances: instances}
 						got, err := Run(sys.alloc, sys.plat, opt)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, n := runReference(sys.alloc, sys.plat, opt)
+						want, n := runReference(sys.alloc, sys.plat, opt, ticked)
 						repeats += n
 						if !reflect.DeepEqual(got, want) {
 							t.Errorf("%s: stats diverged:\nRun       %+v\nreference %+v", name, got, want)
@@ -110,38 +112,36 @@ func TestRunRecorderSameStatsAndCounters(t *testing.T) {
 	}
 	alloc := mustSchedule(t, task)
 	plat := CMPL1()
-	for _, k := range []kernel.Mode{kernel.Events, kernel.Ticked} {
-		run := func(rec *flight.Recorder) ([]InstanceStats, uint64, uint64) {
-			inst, disp := mInstances.Load(), mDispatches.Load()
-			stats, err := Run(alloc, plat, Options{Instances: 10, Kernel: k, Recorder: rec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return stats, mInstances.Load() - inst, mDispatches.Load() - disp
+	run := func(rec *flight.Recorder) ([]InstanceStats, uint64, uint64) {
+		inst, disp := mInstances.Load(), mDispatches.Load()
+		stats, err := Run(alloc, plat, Options{Instances: 10, Recorder: rec})
+		if err != nil {
+			t.Fatal(err)
 		}
-		plain, plainInst, plainDisp := run(nil)
-		rec := flight.New()
-		recorded, recInst, recDisp := run(rec)
-		dispatchEvents := 0
-		for _, e := range rec.Events() {
-			if e.Kind == flight.KindDispatch {
-				dispatchEvents++
-			}
+		return stats, mInstances.Load() - inst, mDispatches.Load() - disp
+	}
+	plain, plainInst, plainDisp := run(nil)
+	rec := flight.New()
+	recorded, recInst, recDisp := run(rec)
+	dispatchEvents := 0
+	for _, e := range rec.Events() {
+		if e.Kind == flight.KindDispatch {
+			dispatchEvents++
 		}
-		if want := 10 * len(task.Nodes); dispatchEvents != want {
-			t.Errorf("%s: recording holds %d dispatches, want %d: a recorded run must simulate every instance",
-				k, dispatchEvents, want)
-		}
-		if !reflect.DeepEqual(plain, recorded) {
-			t.Errorf("%s: stats differ with a recorder:\nwithout %+v\nwith    %+v", k, plain, recorded)
-		}
-		if plainInst != 10 || recInst != 10 {
-			t.Errorf("%s: schedsim.instances advanced %d without and %d with a recorder, want 10",
-				k, plainInst, recInst)
-		}
-		if want := uint64(10 * len(task.Nodes)); plainDisp != want || recDisp != want {
-			t.Errorf("%s: schedsim.dispatches advanced %d without and %d with a recorder, want %d",
-				k, plainDisp, recDisp, want)
-		}
+	}
+	if want := 10 * len(task.Nodes); dispatchEvents != want {
+		t.Errorf("recording holds %d dispatches, want %d: a recorded run must simulate every instance",
+			dispatchEvents, want)
+	}
+	if !reflect.DeepEqual(plain, recorded) {
+		t.Errorf("stats differ with a recorder:\nwithout %+v\nwith    %+v", plain, recorded)
+	}
+	if plainInst != 10 || recInst != 10 {
+		t.Errorf("schedsim.instances advanced %d without and %d with a recorder, want 10",
+			plainInst, recInst)
+	}
+	if want := uint64(10 * len(task.Nodes)); plainDisp != want || recDisp != want {
+		t.Errorf("schedsim.dispatches advanced %d without and %d with a recorder, want %d",
+			plainDisp, recDisp, want)
 	}
 }

@@ -1,7 +1,6 @@
 package schedsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"slices"
@@ -49,10 +48,10 @@ type Options struct {
 	// task runs leave it 0).
 	RecordTask int
 
-	// Kernel selects the dispatch kernel. The zero value, kernel.Events,
-	// is the allocation-free event kernel; kernel.Ticked keeps the legacy
-	// container/heap dispatcher so the equivalence harness can byte-diff
-	// the two (DESIGN.md §11).
+	// Kernel names the dispatch kernel; events is the only one.
+	//
+	// Deprecated: Run ignores it. It stays only because the perfbench
+	// module still sets it, and goes when that reference does.
 	Kernel kernel.Mode
 }
 
@@ -78,19 +77,6 @@ type completion struct {
 	node dag.NodeID
 }
 
-type completionHeap []completion
-
-func (h completionHeap) Len() int { return len(h) }
-func (h completionHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].node < h[j].node
-}
-func (h completionHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x any)   { *h = append(*h, x.(completion)) }
-func (h *completionHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
 // Run simulates opt.Instances consecutive instances of the scheduled task on
 // the platform and returns per-instance statistics. The scheduler is
 // non-preemptive fixed-priority and work-conserving: whenever a core is idle
@@ -111,8 +97,7 @@ func Run(alloc *sched.Result, plat Platform, opt Options) ([]InstanceStats, erro
 	stats := make([]InstanceStats, 0, opt.Instances)
 	var sc scratch
 	// prevCore and olderCore are the placements of the last two
-	// instances. Both stay readable: the ticked kernel allocates each
-	// placement and the events kernel double-buffers them in sc.
+	// instances. Both stay readable: sc double-buffers them.
 	var prevCore, olderCore []int
 	for i := 0; i < opt.Instances; i++ {
 		// Instance i ≥ 2 gets the same inputs as instance i-1 (warm,
@@ -124,169 +109,15 @@ func Run(alloc *sched.Result, plat Platform, opt Options) ([]InstanceStats, erro
 			stats = append(stats, stats[i-1])
 			continue
 		}
-		var s InstanceStats
-		var cores []int
-		if opt.Kernel == kernel.Ticked {
-			s, cores = runInstance(alloc, plat, opt.Cores, i == 0, prevCore,
-				opt.Recorder, int32(opt.RecordTask), int32(i))
-		} else {
-			s, cores = runInstanceEvents(alloc, plat, opt.Cores, i == 0, prevCore,
-				opt.Recorder, int32(opt.RecordTask), int32(i), &sc)
-		}
+		s, cores := runInstance(alloc, plat, opt.Cores, i == 0, prevCore,
+			opt.Recorder, int32(opt.RecordTask), int32(i), &sc)
 		stats = append(stats, s)
 		olderCore, prevCore = prevCore, cores
 	}
 	return stats, nil
 }
 
-// runInstance simulates one release of the task. cold marks the very first
-// instance (no platform cache state); prevCore carries the previous
-// instance's placement for warm-up and affinity decisions (nil when cold).
-// rec, when non-nil, receives the instance's flight events stamped with
-// (task, job).
-func runInstance(alloc *sched.Result, plat Platform, m int, cold bool, prevCore []int, rec *flight.Recorder, task, job int32) (InstanceStats, []int) {
-	mInstances.Inc()
-	t := alloc.Task
-	n := len(t.Nodes)
-
-	rec.Emit(flight.Event{Kind: flight.KindRelease, Task: task, Job: job,
-		Node: -1, Core: -1, Cluster: -1, Wave: -1})
-
-	coreOf := make([]int, n) //lint:ignore hotalloc legacy ticked-path instance setup: runs once per release outside the per-event loop; the events kernel reuses scratch
-	for i := range coreOf {
-		coreOf[i] = -1
-	}
-	startAt := make([]float64, n) //lint:ignore hotalloc legacy ticked-path instance setup: runs once per release outside the per-event loop; the events kernel reuses scratch
-	finished := make([]bool, n)   //lint:ignore hotalloc legacy ticked-path instance setup: runs once per release outside the per-event loop; the events kernel reuses scratch
-	indeg := make([]int, n)       //lint:ignore hotalloc legacy ticked-path instance setup: runs once per release outside the per-event loop; the events kernel reuses scratch
-	for id := range t.Nodes {
-		indeg[id] = len(t.Pred(dag.NodeID(id)))
-	}
-
-	freeAt := make([]float64, m) //lint:ignore hotalloc legacy ticked-path instance setup: runs once per release outside the per-event loop; the events kernel reuses scratch
-	var ready []dag.NodeID
-	ready = append(ready, t.Source())
-
-	var events completionHeap
-	var stats InstanceStats
-	now := 0.0
-	done := 0
-
-	popReady := func() dag.NodeID { //lint:ignore hotalloc legacy ticked-path instance setup: runs once per release outside the per-event loop; the events kernel reuses scratch
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			pi, pb := t.Node(ready[i]).Priority, t.Node(ready[best]).Priority
-			if pi > pb || (pi == pb && ready[i] < ready[best]) {
-				best = i
-			}
-		}
-		v := ready[best]
-		ready = append(ready[:best], ready[best+1:]...)
-		return v
-	}
-
-	idleCores := func() []int { //lint:ignore hotalloc legacy ticked-path instance setup: runs once per release outside the per-event loop; the events kernel reuses scratch
-		var idle []int
-		for c := 0; c < m; c++ {
-			if freeAt[c] <= now {
-				idle = append(idle, c)
-			}
-		}
-		return idle
-	}
-
-	for done < n {
-		// Dispatch while an idle core and a ready node exist
-		// (work-conserving).
-		for {
-			idle := idleCores()
-			if len(idle) == 0 || len(ready) == 0 {
-				break
-			}
-			v := popReady()
-			c := idle[0]
-			if plat.Affinity() && prevCore != nil {
-				if pc := prevCore[v]; pc >= 0 {
-					for _, ic := range idle {
-						if ic == pc {
-							c = pc
-							break
-						}
-					}
-				}
-			}
-			busy := 0
-			for c2 := 0; c2 < m; c2++ {
-				if c2 != c && freeAt[c2] > now {
-					busy++
-				}
-			}
-			busyFrac := 0.0
-			if m > 1 {
-				busyFrac = float64(busy) / float64(m-1)
-			}
-			warm := !cold && prevCore != nil && prevCore[v] == c
-
-			var fetch float64
-			for _, p := range t.Pred(v) {
-				e, _ := t.Edge(p, v)
-				cost := plat.CommCost(e, t.Node(p), coreOf[p] == c, busyFrac)
-				fetch += cost
-				rec.Emit(flight.Event{Kind: flight.KindEdge, Time: now,
-					Task: task, Job: job, Node: int32(v), Core: int32(c),
-					Cluster: -1, Wave: -1,
-					A: float64(p), B: e.Cost, C: cost})
-			}
-			exec := plat.ExecTime(t.Node(v), warm, busyFrac)
-
-			coreOf[v] = c
-			startAt[v] = now
-			finish := now + fetch + exec
-			freeAt[c] = finish
-			mDispatches.Inc()
-			rec.Emit(flight.Event{Kind: flight.KindDispatch, Time: now,
-				Task: task, Job: job, Node: int32(v), Core: int32(c),
-				Cluster: -1, Wave: -1,
-				A: fetch, B: exec, C: float64(alloc.LocalWays[v])})
-			stats.Comm += fetch
-			stats.Exec += exec
-			heap.Push(&events, completion{at: finish, node: v})
-		}
-
-		if events.Len() == 0 {
-			// No running node but undone work: the graph must be
-			// disconnected or cyclic — Validate precludes both.
-			//lint:ignore hotalloc deadlock diagnostic: built only on a disconnected or cyclic graph, which Validate precludes
-			panic("schedsim: deadlock with " + fmt.Sprint(n-done) + " nodes pending")
-		}
-
-		// Advance to the next completion; release successors.
-		ev := heap.Pop(&events).(completion)
-		now = math.Max(now, ev.at)
-		finished[ev.node] = true
-		done++
-		rec.Emit(flight.Event{Kind: flight.KindFinish, Time: ev.at,
-			Task: task, Job: job, Node: int32(ev.node),
-			Core: int32(coreOf[ev.node]), Cluster: -1, Wave: -1,
-			A: ev.at - startAt[ev.node]})
-		for _, s := range t.Succ(ev.node) {
-			indeg[s]--
-			if indeg[s] == 0 {
-				ready = append(ready, s)
-			}
-		}
-		if ev.at > stats.Makespan {
-			stats.Makespan = ev.at
-		}
-	}
-	// The makespan check closes the instance; with no workload deadline
-	// the event records A=0, B=0 (met).
-	rec.Emit(flight.Event{Kind: flight.KindDeadline, Time: stats.Makespan,
-		Task: task, Job: job, Node: -1, Core: -1, Cluster: -1, Wave: -1})
-	return stats, coreOf
-}
-
-// scratch holds the per-instance arrays of the events kernel so that
+// scratch holds the per-instance arrays of runInstance so that
 // consecutive instances reuse one allocation. coreOf is double-buffered:
 // the previous instance's placement must stay readable (affinity, warm-up)
 // while the current instance writes the other buffer.
@@ -316,9 +147,9 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// lessCompletion is the completionHeap order: earliest finish first, ties
+// lessCompletion is the completion-heap order: earliest finish first, ties
 // broken by node ID. Node IDs are unique per instance, so this is a strict
-// total order and both kernels pop completions in the identical sequence.
+// total order and completions pop in one fixed sequence.
 func lessCompletion(a, b completion) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -364,12 +195,13 @@ func popCompletion(h *[]completion) completion {
 	return top
 }
 
-// runInstanceEvents is the events-kernel twin of runInstance: the same
-// work-conserving dispatch over the same strict event order, with the
-// container/heap boxing and per-iteration idle-core slices replaced by a
-// hand-rolled heap and scratch reuse. It must emit byte-identical flight
-// events — the kernel-equivalence CI job diffs the two.
-func runInstanceEvents(alloc *sched.Result, plat Platform, m int, cold bool, prevCore []int, rec *flight.Recorder, task, job int32, sc *scratch) (InstanceStats, []int) {
+// runInstance simulates one release of the task. cold marks the very first
+// instance (no platform cache state); prevCore carries the previous
+// instance's placement for warm-up and affinity decisions (nil when cold).
+// rec, when non-nil, receives the instance's flight events stamped with
+// (task, job). The arrays come from sc, so the steady state allocates
+// nothing; the returned placement stays valid until the next call but one.
+func runInstance(alloc *sched.Result, plat Platform, m int, cold bool, prevCore []int, rec *flight.Recorder, task, job int32, sc *scratch) (InstanceStats, []int) {
 	mInstances.Inc()
 	t := alloc.Task
 	n := len(t.Nodes)
@@ -408,7 +240,7 @@ func runInstanceEvents(alloc *sched.Result, plat Platform, m int, cold bool, pre
 		// Dispatch while an idle core and a ready node exist
 		// (work-conserving).
 		for len(ready) > 0 {
-			// Lowest-numbered idle core, as idleCores()[0] did.
+			// Lowest-numbered idle core.
 			c := -1
 			for cc := 0; cc < m; cc++ {
 				if freeAt[cc] <= now {

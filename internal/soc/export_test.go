@@ -8,8 +8,9 @@ import (
 // RunReference is the run loop Run replaced, kept as the oracle for
 // oracle_test.go: every step it re-reads each core's NextWakeup to pick the
 // next core, then rescans every core's clock for the global time the SDUs
-// advance to.
-func (s *SoC) RunReference(maxInstrs uint64, handler func(*cpu.Core, cpu.Trap) bool) (cpu.Trap, error) {
+// advance to. With ticked set the SDUs get there one Tick at a time, as
+// the cycle-by-cycle kernel did, instead of through AdvanceTo's jump.
+func (s *SoC) RunReference(maxInstrs uint64, handler func(*cpu.Core, cpu.Trap) bool, ticked bool) (cpu.Trap, error) {
 	retired := make([]uint64, len(s.Cores))
 	for {
 		best := -1
@@ -31,7 +32,11 @@ func (s *SoC) RunReference(maxInstrs uint64, handler func(*cpu.Core, cpu.Trap) b
 			return trap, err
 		}
 		retired[best]++
-		s.tickSDUs(referenceGlobal(s))
+		if global := referenceGlobal(s); ticked {
+			tickSDUsReference(s, global)
+		} else {
+			s.tickSDUs(global)
+		}
 		if s.Observer != nil {
 			s.Observer(s)
 		}
@@ -71,4 +76,22 @@ func referenceGlobal(s *SoC) uint64 {
 		}
 	}
 	return global
+}
+
+// tickSDUsReference advances every cluster's SDU to global cycle by cycle.
+func tickSDUsReference(s *SoC, global uint64) {
+	for _, cl := range s.Clusters {
+		for cl.L15.Ticks() < global {
+			cl.L15.Tick()
+		}
+	}
+}
+
+// settleSDUReference is SettleSDU cycle by cycle: n Ticks per cluster.
+func settleSDUReference(s *SoC, n int) {
+	for _, cl := range s.Clusters {
+		for i := 0; i < n; i++ {
+			cl.L15.Tick()
+		}
+	}
 }

@@ -3,17 +3,14 @@ package soc
 import (
 	"reflect"
 	"testing"
-
-	"l15cache/internal/kernel"
 )
 
-// runUnderKernel builds a SoC with the given kernel mode, runs src on core
-// 0 (others halted) and settles the SDUs, mirroring runProgram.
-func runUnderKernel(t *testing.T, mode kernel.Mode, src string) *SoC {
+// runUnderKernel builds a SoC, runs src on core 0 (others halted) and
+// settles the SDUs, mirroring runProgram. It uses Run and SettleSDU or,
+// when ticked, the reference loop with the SDUs ticked cycle by cycle.
+func runUnderKernel(t *testing.T, ticked bool, src string) *SoC {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Kernel = mode
-	s, err := New(cfg)
+	s, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,6 +23,13 @@ func runUnderKernel(t *testing.T, mode kernel.Mode, src string) *SoC {
 	s.StartCore(0, 0x1000, 0x8000)
 	for i := 1; i < len(s.Cores); i++ {
 		s.Cores[i].Halted = true
+	}
+	if ticked {
+		if _, err := s.RunReference(100000, nil, true); err != nil {
+			t.Fatal(err)
+		}
+		settleSDUReference(s, 64)
+		return s
 	}
 	if _, err := s.Run(100000, nil); err != nil {
 		t.Fatal(err)
@@ -63,9 +67,9 @@ func compareSoCs(t *testing.T, tk, ev *SoC) {
 	}
 }
 
-// The SDU-heavy path: demand, poll supply, publish with gv_set. The events
-// kernel skips the idle SDU stretches between the Walloc grants; every
-// tick-stamped event must still match the ticked run.
+// The SDU-heavy path: demand, poll supply, publish with gv_set. Run skips
+// the idle SDU stretches between the Walloc grants; every tick-stamped
+// event must still match the ticked reference.
 func TestKernelsAgreeOnDemandProgram(t *testing.T) {
 	src := `
 		li a0, 4
@@ -80,16 +84,16 @@ func TestKernelsAgreeOnDemandProgram(t *testing.T) {
 		nop
 		ebreak
 	`
-	tk := runUnderKernel(t, kernel.Ticked, src)
-	ev := runUnderKernel(t, kernel.Events, src)
+	tk := runUnderKernel(t, true, src)
+	ev := runUnderKernel(t, false, src)
 	compareSoCs(t, tk, ev)
 	if len(ev.Clusters[0].L15.Events) == 0 {
 		t.Fatal("program produced no SDU events; test is vacuous")
 	}
 }
 
-// The no-SDU path: a pure cache-hit loop never wakes the Walloc, so the
-// events kernel skips every SDU cycle of the run. The clocks must still
+// The no-SDU path: a pure cache-hit loop never wakes the Walloc, so Run
+// skips every SDU cycle of the run. The clocks must still
 // settle to identical values.
 func TestKernelsAgreeOnPureHitLoop(t *testing.T) {
 	src := `
@@ -103,8 +107,8 @@ func TestKernelsAgreeOnPureHitLoop(t *testing.T) {
 		bne t0, t1, loop
 		ebreak
 	`
-	tk := runUnderKernel(t, kernel.Ticked, src)
-	ev := runUnderKernel(t, kernel.Events, src)
+	tk := runUnderKernel(t, true, src)
+	ev := runUnderKernel(t, false, src)
 	compareSoCs(t, tk, ev)
 	if len(ev.Clusters[0].L15.Events) != 0 {
 		t.Fatalf("hit loop produced SDU events: %+v", ev.Clusters[0].L15.Events)

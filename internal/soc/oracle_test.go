@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"l15cache/internal/cpu"
-	"l15cache/internal/kernel"
 	"l15cache/internal/monitor"
 	"l15cache/internal/soc"
 )
@@ -54,7 +53,7 @@ func worker(core, n int, head, tail string) string {
 // oracleCase is one scenario the new run loop must replay exactly.
 type oracleCase struct {
 	name      string
-	kernel    kernel.Mode
+	ticked    bool // the reference ticks the SDUs cycle by cycle
 	width     int
 	maxInstrs uint64
 	monitor   bool
@@ -151,7 +150,6 @@ func restartObserver(*soc.SoC) func(*soc.SoC) {
 func oracleRun(t *testing.T, c oracleCase, reference bool) (*soc.SoC, *monitor.Monitor, cpu.Trap, error) {
 	t.Helper()
 	cfg := soc.DefaultConfig()
-	cfg.Kernel = c.kernel
 	cfg.IssueWidth, cfg.MemPorts = c.width, c.width
 	s, err := soc.New(cfg)
 	if err != nil {
@@ -183,17 +181,19 @@ func oracleRun(t *testing.T, c oracleCase, reference bool) (*soc.SoC, *monitor.M
 	if c.handler != nil {
 		handler = c.handler(s)
 	}
-	run := s.Run
+	var trap cpu.Trap
 	if reference {
-		run = s.RunReference
+		trap, err = s.RunReference(c.maxInstrs, handler, c.ticked)
+	} else {
+		trap, err = s.Run(c.maxInstrs, handler)
 	}
-	trap, err := run(c.maxInstrs, handler)
 	return s, m, trap, err
 }
 
-// TestRunMatchesReference holds Run to the two-scan reference loop: every
-// per-core clock, register file and statistic, the UART, the SDU clocks
-// and the tick-stamped L1.5 events must be identical.
+// TestRunMatchesReference holds Run to the two-scan reference loop, whose
+// SDUs either jump as Run's do (events) or tick cycle by cycle (ticked):
+// every per-core clock, register file and statistic, the UART, the SDU
+// clocks and the tick-stamped L1.5 events must be identical.
 func TestRunMatchesReference(t *testing.T) {
 	const unbounded = 1 << 40
 	cases := []oracleCase{
@@ -207,10 +207,10 @@ func TestRunMatchesReference(t *testing.T) {
 		{name: "dual-issue", maxInstrs: unbounded, width: 2, program: plainWorkers, reaches: allHalted},
 	}
 	for _, c := range cases {
-		for _, mode := range []kernel.Mode{kernel.Events, kernel.Ticked} {
+		for _, mode := range []string{"events", "ticked"} {
 			c := c
-			c.kernel = mode
-			t.Run(fmt.Sprintf("%s/%v", c.name, mode), func(t *testing.T) {
+			c.ticked = mode == "ticked"
+			t.Run(c.name+"/"+mode, func(t *testing.T) {
 				got, gotMon, gotTrap, gotErr := oracleRun(t, c, false)
 				want, wantMon, wantTrap, wantErr := oracleRun(t, c, true)
 				if gotTrap != wantTrap || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {

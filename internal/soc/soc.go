@@ -56,12 +56,6 @@ type Config struct {
 	// budget (2 models the L1.5's ported front end).
 	IssueWidth int
 	MemPorts   int
-
-	// Kernel selects the simulator kernel. kernel.Events (the zero
-	// value) jumps each cluster's SDU clock across idle stretches;
-	// kernel.Ticked advances it cycle by cycle. Both land on the same
-	// counter values, so recordings are byte-identical (DESIGN.md §11).
-	Kernel kernel.Mode
 }
 
 // DefaultConfig is the 8-core (two cluster) configuration of §5.
@@ -361,20 +355,13 @@ func (s *SoC) globalTime() uint64 {
 }
 
 // tickSDUs advances every cluster's Walloc to the global time, preserving
-// the one-way-per-cycle constraint. Under the events kernel a cluster whose
-// SDU reports no wakeup (kernel.Never) jumps its counter straight to the
-// global time instead of idling through the gap cycle by cycle; both
-// kernels reach the same counter value, so every tick-stamped event is
-// identical.
+// the one-way-per-cycle constraint. A cluster whose SDU reports no wakeup
+// (kernel.Never) jumps its counter straight to the global time instead of
+// idling through the gap cycle by cycle; the counter lands on the value
+// ticking would reach, so every tick-stamped event is the same.
 func (s *SoC) tickSDUs(global uint64) {
 	for _, cl := range s.Clusters {
-		if s.Cfg.Kernel == kernel.Ticked {
-			for cl.L15.Ticks() < global {
-				cl.L15.Tick()
-			}
-		} else {
-			cl.L15.AdvanceTo(global)
-		}
+		cl.L15.AdvanceTo(global)
 	}
 }
 
@@ -382,13 +369,7 @@ func (s *SoC) tickSDUs(global uint64) {
 // halted program to let pending demands finish in tests).
 func (s *SoC) SettleSDU(n int) {
 	for _, cl := range s.Clusters {
-		if s.Cfg.Kernel == kernel.Ticked {
-			for i := 0; i < n; i++ {
-				cl.L15.Tick()
-			}
-		} else {
-			cl.L15.AdvanceTo(cl.L15.Ticks() + uint64(n))
-		}
+		cl.L15.AdvanceTo(cl.L15.Ticks() + uint64(n))
 	}
 }
 
